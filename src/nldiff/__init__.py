@@ -47,6 +47,7 @@ from .kernels import (
     tail_mass,
     validate_kernel,
 )
+from .operator import StructuredOperator
 from .quadrature import (
     DecayCertificate,
     PowerDecayCertificate,
@@ -105,6 +106,7 @@ __all__ = [
     "moment_f",
     "tail_mass",
     "validate_kernel",
+    "StructuredOperator",
     "DecayCertificate",
     "PowerDecayCertificate",
     "QuadratureError",

@@ -1,4 +1,4 @@
-"""Problem descriptions and assembly of the dense discrete systems.
+"""Problem descriptions and assembly of the structured discrete systems.
 
 Three problem families share one weight table:
 
@@ -13,8 +13,11 @@ Three problem families share one weight table:
 - Neumann flux closure: rewritten as a real line problem whose forcing takes
   the exterior branch on |x| >= split_radius (closed exterior convention).
 
-All matrices are dense; sizes stay in the low thousands for every shipped
-experiment.
+Every system is a `StructuredOperator`: the symmetric Toeplitz core given by
+its first column plus, for the real line and flux closure, two boundary
+columns.  The exterior sums are one FFT convolution of the weight table with
+the exterior data or the decay profile, so assembly costs O(n log n) time
+and O(n) memory.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .expint import exp_int
 from .grids import Grid, WeightSet, compute_weights
 from .kernels import Kernel
+from .operator import StructuredOperator, convolve
 from .quadrature import DecayCertificate, adaptive_quad
 
 __all__ = [
@@ -108,7 +111,7 @@ AnyProblem = Union[DirichletProblem, RealLineProblem, NeumannProblem]
 
 @dataclass
 class DiscreteSystem:
-    matrix: np.ndarray
+    operator: StructuredOperator
     rhs: np.ndarray
     variant: str
     grid: Grid
@@ -119,13 +122,12 @@ class DiscreteSystem:
     exterior_data: Callable[[np.ndarray], np.ndarray] | None = None
 
 
-def _toeplitz_core(weights: WeightSet, indices: np.ndarray) -> np.ndarray:
+def _core_column(weights: WeightSet, size: int) -> np.ndarray:
+    # first column of the Toeplitz core: total + tail_mass, then -w_1, -w_2, ..
     m = weights.grid.steps
-    shift = indices[:, None] - indices[None, :] + m
-    core = -weights.weights[shift]
-    diag = weights.total + weights.tail_mass
-    core[np.arange(indices.size), np.arange(indices.size)] += diag
-    return core
+    column = -weights.weights[m : m + size]
+    column[0] = weights.total + weights.tail_mass
+    return column
 
 
 def _tail_certificate_for_growth(
@@ -185,8 +187,9 @@ def realline_boundary_terms(
     normalized by the decay profile at the window edge.
 
     B1_i covers the left tail y <= -weight_radius, B2 the mirror image; with
-    a symmetric kernel B2_i = B1_{-i}.  The exponential kernel admits a
-    closed form through exp_int; anything else integrates numerically.
+    a symmetric kernel B2_i = B1_{-i}.  A kernel that carries a
+    closed_exterior_moment (the exponential kernel, through exp_int) uses
+    it; anything else integrates numerically.
     """
     if method not in ("auto", "closed", "quadrature"):
         raise ValueError("unknown boundary method %r" % method)
@@ -194,14 +197,11 @@ def realline_boundary_terms(
     xi = grid.spacing * np.arange(-k, k + 1)
     radius = grid.weight_radius
     scale = grid.half_width ** decay.exponent
-    closed_ok = kernel.name == "laplace-exponential"
-    if method == "closed" and not closed_ok:
+    closed = kernel.closed_exterior_moment
+    if method == "closed" and closed is None:
         raise ValueError("no closed exterior moment for kernel %r" % kernel.name)
-    if closed_ok and method != "quadrature":
-        arg = radius + xi
-        b1 = scale * 0.5 * np.exp(xi) * arg ** (1.0 - decay.exponent) * exp_int(
-            decay.exponent, arg
-        )
+    if closed is not None and method != "quadrature":
+        b1 = scale * np.asarray(closed(xi, radius, decay.exponent), dtype=float)
         return b1, b1[::-1].copy()
 
     q = decay.exponent
@@ -237,21 +237,15 @@ def assemble_dirichlet(
     k = m // 2
     h = grid.spacing
     idx = np.arange(-k + 1, k)
-    core = _toeplitz_core(weights, idx)
 
-    w = weights.weights
     g = problem.exterior_data
-    # exterior node data, right side m in [k, k+m] and mirrored left side
-    g_right = np.asarray(g(h * np.arange(k, k + m + 1)), dtype=float)
-    g_left = np.asarray(g(-h * np.arange(k, k + m + 1)), dtype=float)
-
-    exterior = np.empty(idx.size)
-    for r, i in enumerate(idx):
-        js = np.arange(-m, i - k + 1)
-        right_sum = w[js + m] @ g_right[i - js - k]
-        js = np.arange(i + k, m + 1)
-        left_sum = w[js + m] @ g_left[js - i - k]
-        exterior[r] = right_sum + left_sum
+    # exterior node data at x = +-h*(k + t), t in [0, m], the edge included;
+    # node i sees sum_t w_{i-k-t} g(h(k+t)), entry i + k of the convolution,
+    # and the mirror sum at entry k - i
+    ext = h * np.arange(k, k + m + 1)
+    data = np.stack([np.asarray(g(ext), dtype=float), np.asarray(g(-ext), dtype=float)])
+    sums = convolve(weights.weights, data)
+    exterior = sums[0, idx + k] + sums[1, k - idx]
 
     radius = grid.weight_radius
     if problem.closed_boundary_term is not None:
@@ -261,7 +255,7 @@ def assemble_dirichlet(
 
     rhs = np.asarray(problem.forcing(h * idx), dtype=float) + exterior + boundary
     return DiscreteSystem(
-        matrix=core,
+        operator=StructuredOperator(_core_column(weights, idx.size), np.zeros((idx.size, 0))),
         rhs=rhs,
         variant="dirichlet",
         grid=grid,
@@ -285,30 +279,21 @@ def assemble_realline(
     k = m // 2
     h = grid.spacing
     idx = np.arange(-k, k + 1)
-    core = _toeplitz_core(weights, idx)
 
-    w = weights.weights
     q = problem.decay.exponent
-    # decay profile at exterior nodes, strictly beyond the window edge
-    mm = np.arange(k, k + m + 1)
-    prof = np.zeros(mm.size)
-    prof[1:] = (grid.half_width / (h * mm[1:])) ** q
-
-    right_sums = np.empty(idx.size)
-    left_sums = np.empty(idx.size)
-    for r, i in enumerate(idx):
-        js = np.arange(-m, i - k)
-        right_sums[r] = w[js + m] @ prof[i - js - k] if js.size else 0.0
-        js = np.arange(i + k + 1, m + 1)
-        left_sums[r] = w[js + m] @ prof[js - i - k] if js.size else 0.0
+    # decay profile at x = h*(k + t), t in [0, m], strictly beyond the edge
+    # node (an unknown itself); node i sees entry i + k of the convolution
+    # on the right and, the profile being even, entry k - i on the left
+    prof = np.zeros(m + 1)
+    prof[1:] = (grid.half_width / (h * np.arange(k + 1, k + m + 1))) ** q
+    sums = convolve(weights.weights, prof)[: m + 1]
 
     b1, b2 = realline_boundary_terms(problem.kernel, grid, problem.decay)
-    core[:, 0] -= right_sums + b1
-    core[:, -1] -= left_sums + b2
+    boundary = np.column_stack((sums + b1, sums[::-1] + b2))
 
     rhs = np.asarray(problem.forcing(h * idx), dtype=float)
     return DiscreteSystem(
-        matrix=core,
+        operator=StructuredOperator(_core_column(weights, idx.size), boundary),
         rhs=rhs,
         variant=variant,
         grid=grid,

@@ -37,8 +37,10 @@ class Grid:
     steps: int
 
     def __post_init__(self) -> None:
-        if not self.half_width > 0:
-            raise ValueError("grid half_width must be positive")
+        if not (math.isfinite(self.half_width) and self.half_width > 0):
+            raise ValueError(
+                "grid half_width must be finite and positive, got %r" % self.half_width
+            )
         if self.steps < 4:
             raise ValueError("grid needs at least 4 steps, got %d" % self.steps)
         if self.steps % 2:

@@ -21,6 +21,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .expint import exp_int
 from .quadrature import DecayCertificate, adaptive_quad
 
 __all__ = [
@@ -55,6 +56,8 @@ class Kernel:
     antiderivative_second: Callable[[np.ndarray], np.ndarray] | None = None
     closed_tail_mass: Callable[[float], float] | None = None
     closed_moments: Callable[[float, int], float] | None = None
+    # (center, radius, exponent) -> int_radius^inf |center + s|^-exponent nu(s) ds
+    closed_exterior_moment: Callable[[np.ndarray, float, float], np.ndarray] | None = None
     sign_changes: tuple[float, ...] = ()
     name: str = "custom"
 
@@ -68,6 +71,7 @@ class Kernel:
             antiderivative_second=None,
             closed_tail_mass=None,
             closed_moments=None,
+            closed_exterior_moment=None,
         )
 
 
@@ -91,6 +95,7 @@ def build_kernel(
     antiderivative_second: Callable[[np.ndarray], np.ndarray] | None = None,
     closed_tail_mass: Callable[[float], float] | None = None,
     closed_moments: Callable[[float, int], float] | None = None,
+    closed_exterior_moment: Callable[[np.ndarray, float, float], np.ndarray] | None = None,
     sign_changes: Sequence[float] = (),
     name: str = "custom",
 ) -> Kernel:
@@ -126,6 +131,7 @@ def build_kernel(
         antiderivative_second=antiderivative_second,
         closed_tail_mass=closed_tail_mass,
         closed_moments=closed_moments,
+        closed_exterior_moment=closed_exterior_moment,
         sign_changes=breaks,
         name=name,
     )
@@ -156,6 +162,11 @@ def laplace_kernel() -> Kernel:
     def anti_second(y):
         return 0.5 * np.exp(-np.abs(y))
 
+    def exterior_moment(center, radius, exponent):
+        # substitute t = center + s: e^center / 2 * int_a^inf t^-p e^-t dt
+        arg = radius + np.asarray(center, dtype=float)
+        return 0.5 * np.exp(center) * arg ** (1.0 - exponent) * exp_int(exponent, arg)
+
     return build_kernel(
         nu,
         decay_rate=1.0,
@@ -165,6 +176,7 @@ def laplace_kernel() -> Kernel:
         antiderivative_second=anti_second,
         closed_tail_mass=lambda r: math.exp(-r),
         closed_moments=_laplace_moments,
+        closed_exterior_moment=exterior_moment,
         name="laplace-exponential",
     )
 

@@ -1,9 +1,17 @@
-"""Dense solves, solution reconstruction, and stability diagnostics.
+"""Structured solves, solution reconstruction, and stability diagnostics.
 
-The assembled matrices are strictly diagonally dominant in every stable
-configuration, so plain LU with partial pivoting is enough; the solver still
-verifies the residual after the fact and refuses to return a solution that
-does not satisfy it.
+The default solve never forms a matrix.  The symmetric Toeplitz core T is
+solved by conjugate gradients preconditioned with T. Chan's optimal
+circulant (Chan 1988; Chan and Ng, SIAM Review 38, 1996), which is positive
+definite whenever T is, the sign-changing mixed kernel included; every
+product goes through the operator's FFT matvec.  The whole-line and
+flux-closure systems N = T - B E^T add two boundary columns, handled by
+Sherman-Morrison-Woodbury: one batched CG run for b and both columns of B,
+then a 2 x 2 capacitance solve.  Dirichlet systems run the same code with no
+boundary columns.  Dense LU remains as the explicit oracle
+`solve(system, method="dense")`.  Either way the solver verifies the
+residual with the fast matvec and refuses to return a solution that does
+not satisfy it.
 
 The stability report samples the operator symbol on the cosine modes of the
 weight support.  The naive form 1 - integral(nu * cos) cancels
@@ -24,9 +32,10 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .assembly import DecayModel, DiscreteSystem
+from .assembly import DiscreteSystem
 from .grids import Grid
 from .kernels import Kernel, tail_mass
+from .operator import StructuredOperator
 from .quadrature import adaptive_quad
 
 __all__ = [
@@ -40,14 +49,36 @@ __all__ = [
 ]
 
 _RESIDUAL_FACTOR = 1e-10
+# CG stops once each recursive residual is below this fraction of its right
+# hand side (2-norm); the true residual then sits at the rounding level of
+# the FFT matvec, far inside the residual bound
+_CG_RTOL = 1e-14
+# the preconditioned iteration converges in 8-17 steps on every registry
+# problem; hundreds mean the core is close to singular
+_CG_MAX_ITERATIONS = 500
 
 
 class SolveError(RuntimeError):
-    """Linear solve failed or its residual check did not hold."""
+    """Linear solve failed or its residual check did not hold.
 
-    def __init__(self, message: str, condition_estimate: float | None = None):
+    condition_estimate is the 1-norm condition number on the dense route;
+    on the structured route it is the condition number of the circulant
+    preconditioner, a lower bound on the core's spectral condition number,
+    and inf when the core is not positive definite.  iterations and residual
+    describe where the solve stopped.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        condition_estimate: float | None = None,
+        iterations: int | None = None,
+        residual: float | None = None,
+    ):
         super().__init__(message)
         self.condition_estimate = condition_estimate
+        self.iterations = iterations
+        self.residual = residual
 
 
 @dataclass(frozen=True)
@@ -65,39 +96,150 @@ class Solution:
     variant: str
     tail: DecayTail | None = None
     exterior_data: Callable[[np.ndarray], np.ndarray] | None = None
-    diagnostics: Mapping[str, float] = field(default_factory=dict)
+    diagnostics: Mapping[str, float | str] = field(default_factory=dict)
 
 
-def solve(system: DiscreteSystem) -> Solution:
-    """LU solve with a mandatory residual check.
+def _circulant_condition(eigenvalues: np.ndarray) -> float:
+    low = float(eigenvalues.min())
+    return float(eigenvalues.max()) / low if low > 0.0 else math.inf
 
-    The residual must satisfy
-    ||N u - b||_inf <= 1e-10 (||N||_inf ||u||_inf + ||b||_inf);
-    a singular factorization or a violated bound raises SolveError with a
-    condition estimate attached.
+
+def _preconditioned_cg(
+    operator: StructuredOperator, eigenvalues: np.ndarray, rhs: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """Solve T x = b for each row b of rhs, all rows in one batched run.
+
+    Rows drop out of the batch as they converge.  A curvature p^T T p that
+    is not positive is a breakdown: T is not positive definite, and
+    SolveError is raised.  Non-finite data ends the run early; the residual
+    check in `solve` then refuses the result.
     """
-    matrix, rhs = system.matrix, system.rhs
-    try:
-        values = np.linalg.solve(matrix, rhs)
-    except np.linalg.LinAlgError as exc:
-        cond = float(np.linalg.cond(matrix, 1))
-        raise SolveError(
-            "linear solve failed (%s); 1-norm condition estimate %.3e" % (exc, cond),
-            condition_estimate=cond,
-        ) from exc
+    n = operator.size
 
-    residual = matrix @ values - rhs
+    def precondition(r):
+        return np.fft.irfft(np.fft.rfft(r, axis=-1) / eigenvalues, n, axis=-1)
+
+    solution = np.zeros_like(rhs)
+    residual = rhs.copy()
+    goal = _CG_RTOL * np.linalg.norm(rhs, axis=-1)
+    active = np.flatnonzero(np.linalg.norm(residual, axis=-1) > goal)
+    direction = precondition(residual[active])
+    rz = np.einsum("ij,ij->i", residual[active], direction)
+    iterations = 0
+    while active.size:
+        if iterations == _CG_MAX_ITERATIONS:
+            worst = float(np.linalg.norm(residual[active], axis=-1).max())
+            raise SolveError(
+                "conjugate gradients did not converge in %d iterations; residual %.3e"
+                % (iterations, worst),
+                condition_estimate=_circulant_condition(eigenvalues),
+                iterations=iterations,
+                residual=worst,
+            )
+        iterations += 1
+        image = operator.core_matvec(direction)
+        curvature = np.einsum("ij,ij->i", direction, image)
+        if not np.all(curvature > 0.0):
+            worst = float(np.linalg.norm(residual[active], axis=-1).max())
+            raise SolveError(
+                "conjugate gradients broke down at iteration %d (curvature %.3e, "
+                "residual %.3e): the Toeplitz core is not positive definite"
+                % (iterations, float(curvature.min()), worst),
+                condition_estimate=math.inf,
+                iterations=iterations,
+                residual=worst,
+            )
+        step = (rz / curvature)[:, None]
+        solution[active] += step * direction
+        residual[active] -= step * image
+        going = np.linalg.norm(residual[active], axis=-1) > goal[active]
+        active, direction, rz = active[going], direction[going], rz[going]
+        preconditioned = precondition(residual[active])
+        rz_next = np.einsum("ij,ij->i", residual[active], preconditioned)
+        direction = preconditioned + (rz_next / rz)[:, None] * direction
+        rz = rz_next
+    return solution, iterations
+
+
+def _solve_structured(operator: StructuredOperator, rhs: np.ndarray) -> tuple[np.ndarray, int]:
+    eigenvalues = operator.circulant_eigenvalues()
+    if not np.all(eigenvalues > 0.0):
+        raise SolveError(
+            "the Toeplitz core is not positive definite: its optimal circulant "
+            "has eigenvalue %.3e" % float(eigenvalues.min()),
+            condition_estimate=math.inf,
+            iterations=0,
+            residual=float(np.abs(rhs).max()),
+        )
+    # Sherman-Morrison-Woodbury for N = T - B E^T:
+    # u = y + Z (I - E^T Z)^{-1} E^T y with y = T^{-1} b, Z = T^{-1} B
+    solved, iterations = _preconditioned_cg(
+        operator, eigenvalues, np.vstack((rhs, operator.boundary.T))
+    )
+    values = solved[0]
+    if operator.rank:
+        columns = solved[1:]
+        capacitance = np.eye(operator.rank) - columns[:, [0, -1]].T
+        try:
+            shift = np.linalg.solve(capacitance, values[[0, -1]])
+        except np.linalg.LinAlgError as exc:
+            raise SolveError(
+                "boundary capacitance matrix is singular (%s)" % exc,
+                condition_estimate=math.inf,
+                iterations=iterations,
+                residual=float(np.abs(rhs).max()),
+            ) from exc
+        values = values + shift @ columns
+    return values, iterations
+
+
+def solve(system: DiscreteSystem, method: str = "structured") -> Solution:
+    """Solve N u = b with a mandatory residual check.
+
+    method "structured" (the default) runs preconditioned CG on the
+    Toeplitz core with a Woodbury update for the boundary columns; "dense"
+    materialises N and runs LU, as an oracle for small systems.  Either way
+    the residual must satisfy
+    ||N u - b||_inf <= 1e-10 (||N||_inf ||u||_inf + ||b||_inf),
+    computed with the FFT matvec and the O(n) norm; a singular operator, a
+    CG breakdown or non-convergence, or a violated bound raises SolveError
+    with a condition estimate, the iteration count and the residual.
+    """
+    if method not in ("structured", "dense"):
+        raise ValueError("unknown solve method %r" % method)
+    operator, rhs = system.operator, system.rhs
+    if method == "dense":
+        matrix = operator.dense()
+        iterations = 0
+        try:
+            values = np.linalg.solve(matrix, rhs)
+        except np.linalg.LinAlgError as exc:
+            cond = float(np.linalg.cond(matrix, 1))
+            raise SolveError(
+                "linear solve failed (%s); 1-norm condition estimate %.3e" % (exc, cond),
+                condition_estimate=cond,
+                iterations=0,
+                residual=float(np.abs(rhs).max()),
+            ) from exc
+    else:
+        values, iterations = _solve_structured(operator, rhs)
+
+    residual = operator.matvec(values) - rhs
     res_inf = float(np.abs(residual).max())
-    norm_matrix = float(np.abs(matrix).sum(axis=1).max())
     bound = _RESIDUAL_FACTOR * (
-        norm_matrix * float(np.abs(values).max()) + float(np.abs(rhs).max())
+        operator.norm_inf() * float(np.abs(values).max()) + float(np.abs(rhs).max())
     )
     if not res_inf <= bound:
-        cond = float(np.linalg.cond(matrix, 1))
+        if method == "dense":
+            cond = float(np.linalg.cond(matrix, 1))
+        else:
+            cond = _circulant_condition(operator.circulant_eigenvalues())
         raise SolveError(
-            "residual %.3e exceeds bound %.3e; 1-norm condition estimate %.3e"
+            "residual %.3e exceeds bound %.3e; condition estimate %.3e"
             % (res_inf, bound, cond),
             condition_estimate=cond,
+            iterations=iterations,
+            residual=res_inf,
         )
 
     h = system.grid.spacing
@@ -107,6 +249,8 @@ def solve(system: DiscreteSystem) -> Solution:
         "residual_bound": bound,
         "residual_l2": res_l2,
         "residual_l2_weighted": math.sqrt(h) * res_l2,
+        "iterations": iterations,
+        "route": method,
     }
 
     tail = None
@@ -189,19 +333,19 @@ def _symbol_samples(kernel: Kernel, grid: Grid, tol: float) -> np.ndarray:
     out = np.empty(grid.steps + 1)
     out[0] = mass
     for j in range(1, grid.steps + 1):
-        # panel edges on the zeros of sin(j pi x / (2 R)); beyond 512 panels
-        # the adaptive refinement picks up the remaining oscillation
-        panels = min(j, 512)
-        edges = -radius + 2.0 * radius * np.arange(1, panels) / panels
+        # the integrand is even: integrate 4 sin^2 nu over [0, R] only, half
+        # the work and half the size of every temporary array; panel edges
+        # on the zeros of sin(j pi x / (2 R)), beyond 256 panels the
+        # adaptive refinement picks up the remaining oscillation
+        panels = max(1, min(j // 2, 256))
+        edges = radius * np.arange(1, panels) / panels
         freq = j * math.pi / (2.0 * radius)
 
         def integrand(x):
             s = np.sin(freq * x)
-            return 2.0 * s * s * kernel.evaluate(x)
+            return 4.0 * s * s * kernel.evaluate(x)
 
-        out[j] = mass + adaptive_quad(
-            integrand, -radius, radius, tol, breakpoints=edges
-        ).value
+        out[j] = mass + adaptive_quad(integrand, 0.0, radius, tol, breakpoints=edges).value
     return out
 
 
@@ -214,21 +358,26 @@ def stability_report(system: DiscreteSystem, tol: float = 1e-10) -> StabilityRep
     """
     kernel = system.kernel
     grid = system.grid
-    symbol = _symbol_samples(kernel, grid, tol)
+    operator = system.operator
 
-    q = system.decay.exponent if system.decay is not None else math.inf
-    damp = 1.0 if math.isinf(q) else 1.0 - 3.0 ** (-q)
-    bound = damp * tail_mass(kernel, 2.0 * grid.weight_radius)
-
+    # the certificate comes first: the dense guard of a Dirichlet system
+    # that is too large then fails before M+1 symbol quadratures run
     min_eig: float | None = None
     contraction: float | None = None
     if system.variant == "dirichlet":
-        min_eig = float(np.linalg.eigvalsh(system.matrix).min())
+        min_eig = float(np.linalg.eigvalsh(operator.dense()).min())
         stable = min_eig > 0.0
     else:
-        gap = np.eye(system.matrix.shape[0]) - system.matrix
-        contraction = float(np.abs(gap).sum(axis=1).max())
+        # I - N = (I - T) + B E^T, again Toeplitz plus boundary columns
+        gap_column = -operator.column
+        gap_column[0] += 1.0
+        contraction = StructuredOperator(gap_column, -operator.boundary).norm_inf()
         stable = contraction < 1.0
+
+    symbol = _symbol_samples(kernel, grid, tol)
+    q = system.decay.exponent if system.decay is not None else math.inf
+    damp = 1.0 if math.isinf(q) else 1.0 - 3.0 ** (-q)
+    bound = damp * tail_mass(kernel, 2.0 * grid.weight_radius)
 
     return StabilityReport(
         symbol_values=symbol,

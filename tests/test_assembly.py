@@ -26,7 +26,7 @@ from nldiff.assembly import (
 )
 from nldiff.grids import build_grid, compute_weights
 from nldiff.harness import mixed_boundary, mixed_forcing, sech_boundary, sech_forcing
-from nldiff.kernels import laplace_kernel, mixed_exponential_kernel
+from nldiff.kernels import SignClass, build_kernel, laplace_kernel, mixed_exponential_kernel
 from nldiff.expint import exp_int
 
 
@@ -122,7 +122,7 @@ class TestDirichletSystem:
         problem = make_sech_problem(laplace_kernel(), sech_boundary)
         grid = build_grid(5.0, 64)
         system = assemble(problem, grid)
-        a = system.matrix
+        a = system.operator.dense()
         assert a.shape == (63, 63)
         np.testing.assert_array_equal(a, a.T)
         for off in (0, 1, 17):
@@ -134,8 +134,9 @@ class TestDirichletSystem:
         grid = build_grid(5.0, 64)
         ws = compute_weights(kernel, grid)
         system = assemble(make_sech_problem(kernel, sech_boundary), grid, ws)
-        assert system.matrix[0, 0] == ws.total + ws.tail_mass
-        assert system.matrix[3, 10] == -ws.weight(7)
+        matrix = system.operator.dense()
+        assert matrix[0, 0] == ws.total + ws.tail_mass
+        assert matrix[3, 10] == -ws.weight(7)
 
     def test_variant_and_bookkeeping(self):
         grid = build_grid(5.0, 64)
@@ -143,6 +144,57 @@ class TestDirichletSystem:
         assert system.variant == "dirichlet"
         assert system.indices[0] == -31 and system.indices[-1] == 31
         assert system.exterior_data is not None and system.decay is None
+
+
+def loop_exterior_sums(weights, g_right, g_left, idx):
+    # direct O(n M) sums: node i against the exterior nodes h*(k + t)
+    m = weights.grid.steps
+    k = m // 2
+    w = weights.weights
+    right, left = np.empty(idx.size), np.empty(idx.size)
+    for r, i in enumerate(idx):
+        js = np.arange(-m, i - k + 1)
+        right[r] = w[js + m] @ g_right[i - k - js]
+        js = np.arange(i + k, m + 1)
+        left[r] = w[js + m] @ g_left[js - i - k]
+    return right, left
+
+
+class TestExteriorSums:
+    def test_dirichlet_convolution_matches_direct_sums(self):
+        kernel = laplace_kernel()
+        grid = build_grid(4.0, 40)
+        ws = compute_weights(kernel, grid)
+        # an asymmetric exterior so the two sides cannot stand in for each other
+        data = lambda x: np.exp(-0.1 * np.asarray(x, dtype=float)) / (1.0 + np.asarray(x) ** 2)
+        problem = DirichletProblem(
+            kernel=kernel,
+            forcing=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+            exterior_data=data,
+            closed_boundary_term=lambda x, radius: np.zeros_like(np.asarray(x, dtype=float)),
+        )
+        system = assemble(problem, grid, ws)
+        h, k, m = grid.spacing, grid.steps // 2, grid.steps
+        ext = h * np.arange(k, k + m + 1)
+        right, left = loop_exterior_sums(ws, data(ext), data(-ext), system.indices)
+        want = right + left
+        np.testing.assert_allclose(system.rhs, want, rtol=0, atol=1e-14 * np.abs(want).max())
+
+    def test_realline_convolution_matches_direct_sums(self):
+        kernel = mixed_exponential_kernel()
+        grid = build_grid(4.0, 40)
+        ws = compute_weights(kernel, grid)
+        decay = DecayModel(1.5)
+        system = assemble_realline(RealLineProblem(kernel, np.cos, decay), grid, ws)
+        h, k, m = grid.spacing, grid.steps // 2, grid.steps
+        prof = np.zeros(m + 1)
+        prof[1:] = (grid.half_width / (h * np.arange(k + 1, k + m + 1))) ** 1.5
+        right, left = loop_exterior_sums(ws, prof, prof, system.indices)
+        b1, b2 = realline_boundary_terms(kernel, grid, decay)
+        scale = np.abs(system.operator.boundary).max()
+        boundary = system.operator.boundary
+        np.testing.assert_allclose(boundary[:, 0], right + b1, rtol=0, atol=1e-14 * scale)
+        np.testing.assert_allclose(boundary[:, 1], left + b2, rtol=0, atol=1e-14 * scale)
 
 
 class TestRealLineBoundaryTerms:
@@ -183,6 +235,24 @@ class TestRealLineBoundaryTerms:
         with pytest.raises(ValueError):
             realline_boundary_terms(kernel, grid, DecayModel(2.0), method="closed")
 
+    def test_closed_route_is_a_capability_not_a_name(self):
+        # e^{-2|y|} carrying the exponential kernel's name has no closed
+        # moment; the exp_int formula is off by four orders of magnitude here
+        impostor = build_kernel(
+            lambda y: np.exp(-2.0 * np.abs(y)),
+            decay_rate=2.0,
+            sign_class=SignClass.NONNEGATIVE,
+            name="laplace-exponential",
+        )
+        grid = build_grid(5.0, 64)
+        decay = DecayModel(2.0)
+        auto, _ = realline_boundary_terms(impostor, grid, decay)
+        quad, _ = realline_boundary_terms(impostor, grid, decay, method="quadrature")
+        np.testing.assert_allclose(auto, quad, rtol=1e-9)
+        with pytest.raises(ValueError):
+            realline_boundary_terms(impostor, grid, decay, method="closed")
+        assert laplace_kernel().without_closed_forms().closed_exterior_moment is None
+
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             realline_boundary_terms(
@@ -199,8 +269,9 @@ class TestRealLineSystem:
             RealLineProblem(kernel=kernel, forcing=np.cos, decay=DecayModel(2.0)), grid, ws
         )
         diri = assemble_dirichlet(make_sech_problem(kernel, sech_boundary), grid, ws)
-        assert line.matrix.shape == (65, 65)
-        np.testing.assert_array_equal(line.matrix[1:-1, 1:-1], diri.matrix)
+        line_matrix = line.operator.dense()
+        assert line_matrix.shape == (65, 65)
+        np.testing.assert_array_equal(line_matrix[1:-1, 1:-1], diri.operator.dense())
 
     def test_edge_columns_absorb_exterior(self):
         kernel = laplace_kernel()
@@ -208,11 +279,12 @@ class TestRealLineSystem:
         ws = compute_weights(kernel, grid)
         problem = RealLineProblem(kernel=kernel, forcing=np.cos, decay=DecayModel(2.0))
         system = assemble_realline(problem, grid, ws)
+        matrix = system.operator.dense()
         base = ws.total + ws.tail_mass
         # edge columns sit strictly below the unmodified toeplitz values
-        assert system.matrix[0, 0] < base
-        assert system.matrix[-1, -1] < base
-        assert system.matrix[5, 0] < -ws.weight(5)
+        assert matrix[0, 0] < base
+        assert matrix[-1, -1] < base
+        assert matrix[5, 0] < -ws.weight(5)
         np.testing.assert_array_equal(system.rhs, np.cos(grid.spacing * system.indices))
         assert system.variant == "realline"
         assert system.decay is problem.decay
@@ -250,7 +322,7 @@ class TestNeumann:
         line = RealLineProblem(kernel=kernel, forcing=f, decay=DecayModel(2.0))
         sys_n = assemble(neumann, grid, ws)
         sys_l = assemble(line, grid, ws)
-        np.testing.assert_array_equal(sys_n.matrix, sys_l.matrix)
+        np.testing.assert_array_equal(sys_n.operator.dense(), sys_l.operator.dense())
         np.testing.assert_array_equal(sys_n.rhs, sys_l.rhs)
         assert sys_n.variant == "neumann"
 

@@ -178,6 +178,15 @@ class TestStability:
         assert kv["min_eigenvalue"] == "nan"
         assert 0.0 < float(kv["contraction_norm"]) < 1.0
 
+    def test_dense_certificate_too_large_is_a_clean_error(self, capsys):
+        # the smallest-eigenvalue certificate needs the dense matrix; it is
+        # refused before any n^2 allocation and before the symbol quadratures
+        assert (
+            main(["stability", "--problem", "dirichlet-sech", "--L", "10", "--M", "100000"])
+            == 2
+        )
+        assert "refusing to materialise" in capsys.readouterr().err
+
     def test_neumann_variant_label(self, capsys):
         assert (
             main(

@@ -54,6 +54,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             build_grid(-1.0, 8)
 
+    @pytest.mark.parametrize("half_width", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_half_width_rejected(self, half_width):
+        with pytest.raises(ValueError, match="finite"):
+            build_grid(half_width, 8)
+
 
 class TestHatTailIntegral:
     def test_interior_matches_direct_quadrature(self, laplace):

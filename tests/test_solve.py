@@ -6,15 +6,26 @@ pin _symbol_samples through the public stability report.
 """
 
 import dataclasses
+import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nldiff.assembly import DecayModel, RealLineProblem, assemble
+from nldiff.assembly import (
+    DecayModel,
+    DirichletProblem,
+    NeumannProblem,
+    RealLineProblem,
+    assemble,
+)
 from nldiff.grids import build_grid
 from nldiff.harness import registry
 from nldiff.kernels import laplace_kernel, mixed_exponential_kernel, tail_mass
+from nldiff.operator import MAX_DENSE_SIZE, StructuredOperator
 from nldiff.solve import SolveError, Solution, evaluate_solution, solve, stability_report
 
 
@@ -49,12 +60,15 @@ class TestSolve:
         assert np.abs(solution.values - truth).max() <= 5e-4
 
     def test_singular_matrix_raises_with_condition_estimate(self, sech_system):
+        size = sech_system.operator.size
         broken = dataclasses.replace(
-            sech_system, matrix=np.zeros_like(sech_system.matrix)
+            sech_system, operator=StructuredOperator(np.zeros(size), np.zeros((size, 0)))
         )
         with pytest.raises(SolveError) as err:
             solve(broken)
         assert err.value.condition_estimate == math.inf
+        assert err.value.iterations == 0
+        assert err.value.residual == np.abs(sech_system.rhs).max()
 
     def test_tail_recorded_for_realline(self, line_system):
         solution = solve(line_system)
@@ -67,6 +81,136 @@ class TestSolve:
         solution = solve(sech_system)
         assert solution.tail is None
         assert solution.exterior_data is not None
+
+
+class TestStructuredRoute:
+    def test_diagnostics_name_route_and_iterations(self, sech_system, line_system):
+        for system in (sech_system, line_system):
+            fast = solve(system)
+            assert fast.diagnostics["route"] == "structured"
+            assert 0 < fast.diagnostics["iterations"] < 40
+            dense = solve(system, method="dense")
+            assert dense.diagnostics["route"] == "dense"
+            assert dense.diagnostics["iterations"] == 0
+            assert dense.diagnostics["residual_inf"] <= dense.diagnostics["residual_bound"]
+
+    def test_unknown_method(self, sech_system):
+        with pytest.raises(ValueError):
+            solve(sech_system, method="lu")
+
+    def test_solve_toeplitz_oracle(self):
+        from scipy.linalg import solve_toeplitz
+
+        case = registry()["dirichlet-mixed-kernel"].build(10.0)
+        system = assemble(case.problem, build_grid(10.0, 1000))
+        want = solve_toeplitz(system.operator.column, system.rhs)
+        got = solve(system).values
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_default_route_allocates_no_square_array(self):
+        case = registry()["dirichlet-sech"].build(10.0)
+        grid = build_grid(10.0, 6400)
+        tracemalloc.start()
+        try:
+            solve(assemble(case.problem, grid))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a 6399^2 float64 matrix alone is 328 MB
+        assert peak < 20e6
+
+    def test_dense_oracle_refuses_large_systems(self):
+        case = registry()["dirichlet-sech"].build(10.0)
+        system = assemble(case.problem, build_grid(10.0, 100000))
+        assert system.operator.size > MAX_DENSE_SIZE
+        with pytest.raises(ValueError, match="refusing to materialise"):
+            solve(system, method="dense")
+        with pytest.raises(ValueError, match="refusing to materialise"):
+            stability_report(system)
+
+
+def _gaussian(x):
+    return np.exp(-np.asarray(x, dtype=float) ** 2)
+
+
+def _zero(x):
+    return np.zeros_like(np.asarray(x, dtype=float))
+
+
+def _variant_problem(variant, kernel, half_width):
+    decay = DecayModel(2.0)
+    if variant == "dirichlet":
+        return DirichletProblem(
+            kernel=kernel,
+            forcing=_gaussian,
+            exterior_data=lambda x: 0.1 * _gaussian(x / 4.0),
+            closed_boundary_term=lambda x, radius: _zero(x),
+        )
+    if variant == "realline":
+        return RealLineProblem(kernel=kernel, forcing=_gaussian, decay=decay)
+    return NeumannProblem(
+        kernel=kernel,
+        forcing=_gaussian,
+        exterior_forcing=_zero,
+        split_radius=0.5 * half_width,
+        decay=decay,
+    )
+
+
+_KERNELS = {"laplace": laplace_kernel(), "mixed": mixed_exponential_kernel()}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    variant=st.sampled_from(["dirichlet", "realline", "neumann"]),
+    kernel=st.sampled_from(sorted(_KERNELS)),
+    half_width=st.floats(min_value=1.0, max_value=20.0),
+    half_steps=st.integers(min_value=2, max_value=150),
+)
+def test_structured_solve_matches_dense_lu(variant, kernel, half_width, half_steps):
+    problem = _variant_problem(variant, _KERNELS[kernel], half_width)
+    system = assemble(problem, build_grid(half_width, 2 * half_steps))
+    fast = solve(system).values
+    dense = solve(system, method="dense").values
+    assert np.abs(fast - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+class TestSolveFaults:
+    def test_cg_breakdown_on_an_indefinite_core(self, sech_system):
+        # unit diagonal with 2 in the corners: the (0, n-1) block has
+        # eigenvalue -1 along e_0 - e_{n-1}, yet T. Chan's circulant is
+        # I + (2/n)(S + S^T), positive definite, so CG starts and breaks down
+        size = sech_system.operator.size
+        column = np.zeros(size)
+        column[0], column[-1] = 1.0, 2.0
+        rhs = np.zeros(size)
+        rhs[0], rhs[-1] = 1.0, -1.0
+        broken = dataclasses.replace(
+            sech_system,
+            operator=StructuredOperator(column, np.zeros((size, 0))),
+            rhs=rhs,
+        )
+        with pytest.raises(SolveError, match="broke down") as err:
+            solve(broken)
+        assert err.value.condition_estimate == math.inf
+        assert err.value.iterations == 1
+        assert err.value.residual == pytest.approx(math.sqrt(2.0))
+
+    def test_cg_non_convergence(self, line_system, monkeypatch):
+        module = importlib.import_module("nldiff.solve")
+        monkeypatch.setattr(module, "_CG_MAX_ITERATIONS", 2)
+        with pytest.raises(SolveError, match="did not converge") as err:
+            solve(line_system)
+        assert err.value.iterations == 2
+        assert err.value.residual > 0.0
+        assert 1.0 < err.value.condition_estimate < math.inf
+
+    def test_nan_forcing(self, sech_system):
+        rhs = sech_system.rhs.copy()
+        rhs[7] = math.nan
+        with pytest.raises(SolveError, match="residual") as err:
+            solve(dataclasses.replace(sech_system, rhs=rhs))
+        assert math.isnan(err.value.residual)
 
 
 class TestEvaluateSolution:
