@@ -54,7 +54,6 @@ from .quadrature import (
     QuadratureError,
     QuadratureResult,
     adaptive_quad,
-    default_tolerance,
 )
 from .solve import (
     Solution,
@@ -112,7 +111,6 @@ __all__ = [
     "QuadratureError",
     "QuadratureResult",
     "adaptive_quad",
-    "default_tolerance",
     "Solution",
     "SolveError",
     "StabilityReport",

@@ -29,7 +29,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .grids import Grid, WeightSet, compute_weights
-from .kernels import Kernel
+from .kernels import Kernel, _route_kernel
 from .operator import StructuredOperator, convolve
 from .quadrature import DecayCertificate, adaptive_quad
 
@@ -130,17 +130,6 @@ def _core_column(weights: WeightSet, size: int) -> np.ndarray:
     return column
 
 
-def _tail_certificate_for_growth(
-    kernel: Kernel, growth: GrowthCertificate, center: float
-) -> DecayCertificate:
-    # certificate for y -> |g(center - y) nu(y)| on a half line
-    rate = kernel.decay_rate / 2.0
-    base = 1.0 + abs(center)
-    peak_at = max(0.0, growth.degree / rate - base)
-    peak = (base + peak_at) ** growth.degree * math.exp(-rate * peak_at)
-    return DecayCertificate(rate, kernel.decay_constant * growth.constant * peak * 1.0000001)
-
-
 def dirichlet_boundary_term(problem: DirichletProblem, grid: Grid, i: int) -> float:
     """Boundary integral of the exterior data beyond the weight support,
     B_i = int_{|y| >= weight_radius} g(x_i - y) nu(y) dy."""
@@ -155,9 +144,14 @@ def dirichlet_boundary_term(problem: DirichletProblem, grid: Grid, i: int) -> fl
             "dirichlet boundary term needs a closed form or a growth certificate "
             "for the exterior data"
         )
-    cert = _tail_certificate_for_growth(problem.kernel, problem.exterior_growth, xi)
+    kernel = problem.kernel
+    growth = problem.exterior_growth
+    # |g(xi -+ y) nu(y)| <= C_g (1 + |xi| + |y|)^degree * C_nu e^(-rate |y|)
+    cert = DecayCertificate(
+        kernel.decay_rate, kernel.decay_constant * growth.constant
+    ).times_power(growth.degree, 1.0 + abs(xi))
     g = problem.exterior_data
-    nu = problem.kernel.evaluate
+    nu = kernel.evaluate
     # the integral is itself a kernel tail, so an absolute tolerance must be
     # scaled to the certified tail size or the answer drowns in slack
     tol = max(1e-12 * cert.tail_bound(radius), 1e-300)
@@ -189,26 +183,22 @@ def realline_boundary_terms(
     B1_i covers the left tail y <= -weight_radius, B2 the mirror image; with
     a symmetric kernel B2_i = B1_{-i}.  A kernel that carries a
     closed_exterior_moment (the exponential kernel, through exp_int) uses
-    it; anything else integrates numerically.
+    it; anything else integrates numerically.  method "closed" insists on the
+    closed moment and "quadrature" integrates even when it exists.
     """
-    if method not in ("auto", "closed", "quadrature"):
-        raise ValueError("unknown boundary method %r" % method)
+    kernel = _route_kernel(kernel, method, "closed_exterior_moment")
     k = grid.steps // 2
     xi = grid.spacing * np.arange(-k, k + 1)
     radius = grid.weight_radius
     scale = grid.half_width ** decay.exponent
     closed = kernel.closed_exterior_moment
-    if method == "closed" and closed is None:
-        raise ValueError("no closed exterior moment for kernel %r" % kernel.name)
-    if closed is not None and method != "quadrature":
+    if closed is not None:
         b1 = scale * np.asarray(closed(xi, radius, decay.exponent), dtype=float)
         return b1, b1[::-1].copy()
 
     q = decay.exponent
-    floor = radius - grid.half_width
-    cert = DecayCertificate(
-        kernel.decay_rate, kernel.decay_constant * floor ** (-q) * 1.0000001
-    )
+    # |center + s| >= radius - half_width on the whole integration range
+    cert = kernel.decay().times_power(-q, radius - grid.half_width)
     # scale the tolerance to the certified tail size; these integrals sit far
     # below any fixed absolute tolerance
     tol = max(1e-12 * cert.tail_bound(radius), 1e-300)

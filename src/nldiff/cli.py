@@ -17,8 +17,8 @@ import numpy as np
 from .assembly import NeumannProblem, assemble, neumann_to_realline
 from .grids import build_grid
 from .harness import compatibility_check, emit_csv, registry, run_convergence
-from .quadrature import default_tolerance
-from .solve import solve, stability_report
+from .quadrature import QuadratureError
+from .solve import SolveError, solve, stability_report
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -86,7 +86,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     print("mean=%.17g" % result.mean)
     print("first_moment=%.17g" % result.first_moment)
     print("passed=%s" % ("true" if result.passed else "false"))
-    print("quad_tol=%.17g" % default_tolerance())
+    print("quad_tol=%.17g" % result.quad_tol)
     return 0 if result.passed else 1
 
 
@@ -157,6 +157,15 @@ def main(argv: list[str] | None = None) -> int:
         # uses exit code 2 for malformed invocations, keep the same code
         sys.stderr.write("error: %s\n" % exc)
         return 2
+    except SolveError as exc:
+        sys.stderr.write(
+            "error: %s (iterations=%s, residual=%s)\n" % (exc, exc.iterations, exc.residual)
+        )
+        return 3
+    except QuadratureError as exc:
+        # the message carries the best estimate and its error
+        sys.stderr.write("error: %s\n" % exc)
+        return 3
 
 
 if __name__ == "__main__":

@@ -2,11 +2,12 @@
 
 The order two discretization replaces the convolution integral by hat
 function quadrature away from the origin plus a second moment correction for
-the cut cell |y| < h.  With F the decaying second antiderivative of the
-kernel (F'' = nu), every weight has a closed expression in F and F' at the
-nodes; kernels without closed antiderivatives get numerically accumulated
-F values instead (per cell integrals plus suffix sums, so the whole table
-still costs O(M) integrand work rather than O(M^2)).
+the cut cell |y| < h.  Every weight is one hat integral of the kernel, and
+one private routine computes them all: with F the decaying second
+antiderivative of the kernel (F'' = nu), a hat integral is a second
+difference of F at the nodes (with F' at the half hats on the ends), so the
+closed route is vectorized over the whole table; a kernel without both
+antiderivatives gets one adaptive quadrature per hat instead.
 
 Weight layout: index j runs over [-M, M] with w_0 = 0 and w_{-j} = w_j; the
 array is stored in full, offset by M.
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Kernel, _weighted_decay, moment_f, tail_mass
+from .kernels import Kernel, _route_kernel, moment_f, tail_mass
 from .quadrature import adaptive_quad
 
 __all__ = ["Grid", "WeightSet", "build_grid", "hat_tail_integral", "compute_weights"]
@@ -80,113 +81,80 @@ class WeightSet:
         return float(self.weights[j + self.grid.steps])
 
 
+def _hat_integrals(
+    kernel: Kernel, grid: Grid, k: np.ndarray, cut_cell: float = 0.0
+) -> np.ndarray:
+    """Integrals of the hats at nodes k (1 <= k <= M) against the kernel
+    over |y| >= h.
+
+    The closed route evaluates F and F' once at every node and takes second
+    differences (F' enters at the two half hats); without both
+    antiderivatives each requested hat is integrated by its own quadrature.
+    cut_cell, the moment weight of the inward half of the k = 1 hat, is
+    added to that entry first.
+    """
+    m = grid.steps
+    h = grid.spacing
+    second = kernel.antiderivative_second
+    first = kernel.antiderivative_first
+    if second is not None and first is not None:
+        x = h * np.arange(0, m + 1)
+        f_nodes = np.asarray(second(x), dtype=float)
+        fp_nodes = np.asarray(first(x), dtype=float)
+        table = np.zeros(m + 1)
+        table[1] = cut_cell + (f_nodes[2] - f_nodes[1]) / h - fp_nodes[1]
+        table[2:m] = (f_nodes[3 : m + 1] - 2.0 * f_nodes[2:m] + f_nodes[1 : m - 1]) / h
+        table[m] = fp_nodes[m] + (f_nodes[m - 1] - f_nodes[m]) / h
+        return table[k]
+
+    out = np.empty(k.size)
+    for r, node in enumerate(k):
+        center = h * node
+        lo = h * (node if node == 1 else node - 1)
+        hi = h * (node if node == m else node + 1)
+
+        def integrand(y, center=center):
+            hat = 1.0 - np.abs(y - center) / h
+            return np.clip(hat, 0.0, None) * kernel.evaluate(y)
+
+        breaks = (center,) if lo < center < hi else ()
+        out[r] = adaptive_quad(integrand, lo, hi, 0.0, rel=1e-13, breakpoints=breaks).value
+    out[k == 1] += cut_cell
+    return out
+
+
 def hat_tail_integral(kernel: Kernel, grid: Grid, j: int) -> float:
     """Integral of the hat at node j against the kernel, restricted to |y| >= h.
 
     For 1 < |j| < M this is the full hat support [x_{j-1}, x_{j+1}]; at
     |j| = 1 only the outward half [x_1, x_2] (the inward half is replaced by
-    the moment rule); at |j| = M only the inward half [x_{M-1}, x_M].
+    the moment rule); at |j| = M only the inward half [x_{M-1}, x_M].  The
+    closed route needs both antiderivatives of the kernel; otherwise the hat
+    is integrated by quadrature.  This is the entry w_j of `compute_weights`
+    for |j| >= 2.
     """
-    m = grid.steps
     k = abs(j)
-    if k < 1 or k > m:
+    if k < 1 or k > grid.steps:
         raise ValueError("hat index must satisfy 1 <= |j| <= M")
-    h = grid.spacing
-    x = h * np.arange(0, m + 1)
-
-    second = kernel.antiderivative_second
-    first = kernel.antiderivative_first
-    if second is not None and first is not None:
-        if k == 1:
-            return float((second(x[2]) - second(x[1])) / h - first(x[1]))
-        if k == m:
-            return float(first(x[m]) + (second(x[m - 1]) - second(x[m])) / h)
-        return float((second(x[k + 1]) - 2.0 * second(x[k]) + second(x[k - 1])) / h)
-
-    center = x[k]
-    if k == 1:
-        lo, hi = x[1], x[2]
-    elif k == m:
-        lo, hi = x[m - 1], x[m]
-    else:
-        lo, hi = x[k - 1], x[k + 1]
-
-    def integrand(y):
-        hat = 1.0 - np.abs(y - center) / h
-        return np.clip(hat, 0.0, None) * kernel.evaluate(y)
-
-    breaks = (center,) if lo < center < hi else ()
-    return adaptive_quad(integrand, lo, hi, 0.0, rel=1e-13, breakpoints=breaks).value
-
-
-def _numeric_node_antiderivatives(kernel: Kernel, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    # F and F' at the nodes 0..M from per-cell integrals and certified tails.
-    m = grid.steps
-    x = grid.spacing * np.arange(0, m + 1)
-    cell0 = np.empty(m)
-    cell1 = np.empty(m)
-    for c in range(m):
-        cell0[c] = adaptive_quad(kernel.evaluate, x[c], x[c + 1], 0.0, rel=1e-13).value
-        cell1[c] = adaptive_quad(
-            lambda y: y * kernel.evaluate(y), x[c], x[c + 1], 0.0, rel=1e-13
-        ).value
-    cert = kernel.decay()
-    cert1 = _weighted_decay(kernel, 1)
-    # tolerances ride the certified tail size so the far tails keep relative
-    # accuracy instead of drowning in a fixed absolute budget
-    tol0 = max(1e-13 * cert.tail_bound(x[m]), 1e-300)
-    tol1 = max(1e-13 * cert1.tail_bound(x[m]), 1e-300)
-    tail0 = adaptive_quad(
-        kernel.evaluate, x[m], math.inf, tol0, rel=1e-13, decay=cert,
-        breakpoints=kernel.sign_changes,
-    ).value
-    tail1 = adaptive_quad(
-        lambda y: y * kernel.evaluate(y), x[m], math.inf, tol1, rel=1e-13,
-        decay=cert1, breakpoints=kernel.sign_changes,
-    ).value
-    suffix0 = np.concatenate([np.cumsum(cell0[::-1])[::-1] + tail0, [tail0]])
-    suffix1 = np.concatenate([np.cumsum(cell1[::-1])[::-1] + tail1, [tail1]])
-    f_nodes = suffix1 - x * suffix0
-    fp_nodes = -suffix0
-    return f_nodes, fp_nodes
+    return float(_hat_integrals(kernel, grid, np.array([k]))[0])
 
 
 def compute_weights(kernel: Kernel, grid: Grid, method: str = "auto") -> WeightSet:
     """Weight table for the discrete operator on the given grid.
 
+    w_j for 1 <= |j| <= M is the hat integral of `hat_tail_integral`; w_{+-1}
+    also carries the cut cell's second moment weight moment_f(kernel, h, 1).
     method "closed" insists on the kernel's antiderivatives, "quadrature"
-    rebuilds the node antiderivatives numerically (useful as an independent
-    route even when closed forms exist), and "auto" picks closed when
-    available.
+    runs on the kernel stripped of every closed form (an independent route
+    even when closed forms exist), and "auto" uses the closed forms the
+    kernel carries.
     """
-    if method not in ("auto", "closed", "quadrature"):
-        raise ValueError("unknown weight method %r" % method)
+    kernel = _route_kernel(kernel, method, "antiderivative_first", "antiderivative_second")
     m = grid.steps
-    h = grid.spacing
-    have_closed = (
-        kernel.antiderivative_first is not None and kernel.antiderivative_second is not None
-    )
-    if method == "closed" and not have_closed:
-        raise ValueError("kernel lacks closed antiderivatives")
-    use_closed = have_closed if method == "auto" else method == "closed"
-
-    x = h * np.arange(0, m + 1)
-    if use_closed:
-        f_nodes = np.asarray(kernel.antiderivative_second(x), dtype=float)
-        fp_nodes = np.asarray(kernel.antiderivative_first(x), dtype=float)
-        f1 = moment_f(kernel, h, 1)
-    else:
-        f_nodes, fp_nodes = _numeric_node_antiderivatives(kernel, grid)
-        f1 = (
-            adaptive_quad(lambda y: y * y * kernel.evaluate(y), 0.0, h, 0.0, rel=1e-13).value
-            / (h * h)
-        )
-
     right = np.zeros(m + 1)
-    right[1] = f1 + (f_nodes[2] - f_nodes[1]) / h - fp_nodes[1]
-    right[2:m] = (f_nodes[3 : m + 1] - 2.0 * f_nodes[2:m] + f_nodes[1 : m - 1]) / h
-    right[m] = fp_nodes[m] + (f_nodes[m - 1] - f_nodes[m]) / h
-
+    right[1:] = _hat_integrals(
+        kernel, grid, np.arange(1, m + 1), moment_f(kernel, grid.spacing, 1)
+    )
     weights = np.concatenate([right[:0:-1], right])
     return WeightSet(
         grid=grid,

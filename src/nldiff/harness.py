@@ -260,9 +260,34 @@ def _tail_mass_checks(kernel: Kernel, label: str, tol: float) -> list[ClosedForm
     checks = []
     for radius in (5.0, 10.0):
         closed = kernel.closed_tail_mass(radius)
-        reference = tail_mass(replace(kernel, closed_tail_mass=None), radius)
+        reference = tail_mass(kernel.without_closed_forms(), radius)
         checks.append(ClosedFormCheck("%s[radius=%g]" % (label, radius), closed, reference, tol))
     return checks
+
+
+def _keep_or_demote(
+    subject, field: str, checks: list[ClosedFormCheck], audit: str, term: str
+):
+    # log every comparison; on any disagreement drop the closed form in
+    # `field` so quadrature wins
+    for check in checks:
+        log.info(
+            "%s audit %s: closed=%.12e quadrature=%.12e",
+            audit,
+            check.label,
+            check.closed_value,
+            check.reference_value,
+        )
+    if all(c.ok for c in checks):
+        return subject, checks
+    worst = max(checks, key=lambda c: c.gap)
+    log.warning(
+        "closed %s %s disagrees with quadrature (gap %.3e); falling back to quadrature",
+        term,
+        worst.label,
+        worst.gap,
+    )
+    return replace(subject, **{field: None}), checks
 
 
 def validate_closed_boundary(
@@ -273,23 +298,7 @@ def validate_closed_boundary(
     if problem.closed_boundary_term is None or problem.exterior_growth is None:
         return problem, []
     checks = _boundary_checks(problem, label, tol)
-    for check in checks:
-        log.info(
-            "closed form audit %s: closed=%.12e quadrature=%.12e",
-            check.label,
-            check.closed_value,
-            check.reference_value,
-        )
-    if all(c.ok for c in checks):
-        return problem, checks
-    worst = max(checks, key=lambda c: c.gap)
-    log.warning(
-        "closed boundary term %s disagrees with quadrature (gap %.3e); "
-        "falling back to quadrature",
-        worst.label,
-        worst.gap,
-    )
-    return replace(problem, closed_boundary_term=None), checks
+    return _keep_or_demote(problem, "closed_boundary_term", checks, "closed form", "boundary term")
 
 
 def validate_closed_tail_mass(
@@ -298,23 +307,7 @@ def validate_closed_tail_mass(
     if kernel.closed_tail_mass is None:
         return kernel, []
     checks = _tail_mass_checks(kernel, label, tol)
-    for check in checks:
-        log.info(
-            "tail mass audit %s: closed=%.12e quadrature=%.12e",
-            check.label,
-            check.closed_value,
-            check.reference_value,
-        )
-    if all(c.ok for c in checks):
-        return kernel, checks
-    worst = max(checks, key=lambda c: c.gap)
-    log.warning(
-        "closed tail mass %s disagrees with quadrature (gap %.3e); "
-        "falling back to quadrature",
-        worst.label,
-        worst.gap,
-    )
-    return replace(kernel, closed_tail_mass=None), checks
+    return _keep_or_demote(kernel, "closed_tail_mass", checks, "tail mass", "tail mass")
 
 
 def audit_closed_forms() -> list[ClosedFormCheck]:
@@ -551,22 +544,12 @@ class CompatibilityResult:
     mean: float
     first_moment: float
     tol: float
+    # absolute tolerance the two moment quadratures ran at
+    quad_tol: float
 
     @property
     def passed(self) -> bool:
         return abs(self.mean) <= self.tol and abs(self.first_moment) <= self.tol
-
-
-def _moment_certificate(cert):
-    if isinstance(cert, DecayCertificate):
-        # |y f(y)| <= C max_t(t e^(-rt/2)) e^(-r|y|/2)
-        rate = cert.rate / 2.0
-        return DecayCertificate(rate, cert.constant / (math.e * rate) * 1.0000001)
-    if isinstance(cert, PowerDecayCertificate):
-        if cert.degree <= 2.0:
-            raise ValueError("first moment needs forcing decay degree > 2")
-        return PowerDecayCertificate(cert.degree - 1.0, cert.constant)
-    raise TypeError("unsupported certificate %r" % type(cert).__name__)
 
 
 def compatibility_check(
@@ -580,7 +563,9 @@ def compatibility_check(
     moment for the continuous problem to be solvable; the result carries
     both values so callers can report which one failed.
     """
-    moment_cert = _moment_certificate(decay_certificate)
+    if not isinstance(decay_certificate, (DecayCertificate, PowerDecayCertificate)):
+        raise TypeError("unsupported certificate %r" % type(decay_certificate).__name__)
+    moment_cert = decay_certificate.times_power(1)
     quad_tol = min(tol / 10.0, 1e-10)
     mean = adaptive_quad(
         forcing, -math.inf, math.inf, quad_tol, decay=decay_certificate
@@ -592,7 +577,7 @@ def compatibility_check(
         quad_tol,
         decay=moment_cert,
     ).value
-    return CompatibilityResult(mean=mean, first_moment=first, tol=tol)
+    return CompatibilityResult(mean=mean, first_moment=first, tol=tol, quad_tol=quad_tol)
 
 
 # ---------------------------------------------------------------------------

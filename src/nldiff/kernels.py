@@ -75,14 +75,21 @@ class Kernel:
         )
 
 
-def _weighted_decay(kernel: Kernel, power: int) -> DecayCertificate:
-    # certificate for |y|**power * |nu(y)|: halve the rate and absorb the
-    # polynomial into the constant via max_t t^power e^(-rate t / 2)
-    if power == 0:
-        return kernel.decay()
-    rate = kernel.decay_rate / 2.0
-    peak = (power / (math.e * rate)) ** power
-    return DecayCertificate(rate, kernel.decay_constant * peak * 1.0000001)
+def _route_kernel(kernel: Kernel, method: str, *capabilities: str) -> Kernel:
+    """The kernel a computation runs on under its route choice.
+
+    "auto" uses whatever closed forms the kernel carries, "quadrature" strips
+    them all, and "closed" raises unless every named capability is present.
+    """
+    if method not in ("auto", "closed", "quadrature"):
+        raise ValueError("unknown method %r" % method)
+    if method == "quadrature":
+        return kernel.without_closed_forms()
+    if method == "closed":
+        missing = [c for c in capabilities if getattr(kernel, c) is None]
+        if missing:
+            raise ValueError("kernel %r lacks %s" % (kernel.name, ", ".join(missing)))
+    return kernel
 
 
 def build_kernel(
@@ -312,12 +319,6 @@ def tail_mass(kernel: Kernel, support_radius: float) -> float:
         raise ValueError("support radius must be nonnegative")
     if kernel.closed_tail_mass is not None:
         return kernel.closed_tail_mass(support_radius)
-    if support_radius == 0.0:
-        half = adaptive_quad(
-            kernel.evaluate, 0.0, math.inf, 1e-13, decay=kernel.decay(),
-            breakpoints=kernel.sign_changes,
-        ).value
-        return 2.0 * half
     cert = kernel.decay()
     half = adaptive_quad(
         kernel.evaluate, support_radius, math.inf,
@@ -357,7 +358,7 @@ def validate_kernel(
             -math.inf,
             math.inf,
             min(tol * 1e-2, 1e-10),
-            decay=_weighted_decay(kernel, weight_power),
+            decay=cert.times_power(weight_power),
             breakpoints=kernel.sign_changes,
         ).value
 

@@ -19,7 +19,6 @@ must return an array of the same shape.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -31,22 +30,14 @@ __all__ = [
     "DecayCertificate",
     "PowerDecayCertificate",
     "adaptive_quad",
-    "default_tolerance",
 ]
 
 _T15, _W15 = np.polynomial.legendre.leggauss(15)
 _T7, _W7 = np.polynomial.legendre.leggauss(7)
 
 _EPS = float(np.finfo(float).eps)
-
-
-def default_tolerance() -> float:
-    """Absolute tolerance used when a caller does not pass one.
-
-    Overridable through the NLDIFF_QUAD_TOL environment variable, which is
-    read at call time so harness runs can be re-pointed without code edits.
-    """
-    return float(os.environ.get("NLDIFF_QUAD_TOL", "1e-10"))
+# absorbs the rounding of the peak computations in the certificate algebra
+_SAFETY = 1.0000001
 
 
 @dataclass(frozen=True)
@@ -92,6 +83,24 @@ class DecayCertificate:
         ratio = self.constant / (self.rate * budget)
         return max(0.0, math.log(max(ratio, 1.0)) / self.rate)
 
+    def times_power(self, degree: float, offset: float = 0.0) -> "DecayCertificate":
+        """Certificate for (offset + |y|) ** degree * f(y), with offset >= 0.
+
+        degree 0 returns the certificate unchanged.  A decreasing factor
+        (degree < 0, offset > 0) is bounded by offset ** degree and keeps the
+        rate; a growing one halves the rate and absorbs
+        max over t >= 0 of (offset + t) ** degree * exp(-rate t / 2) into the
+        constant.
+        """
+        if degree == 0:
+            return self
+        if degree < 0:
+            return DecayCertificate(self.rate, self.constant * offset ** degree * _SAFETY)
+        rate = self.rate / 2.0
+        peak_at = max(0.0, degree / rate - offset)
+        peak = (offset + peak_at) ** degree * math.exp(-rate * peak_at)
+        return DecayCertificate(rate, self.constant * peak * _SAFETY)
+
 
 @dataclass(frozen=True)
 class PowerDecayCertificate:
@@ -115,6 +124,11 @@ class PowerDecayCertificate:
         ratio = self.constant / ((self.degree - 1.0) * budget)
         return max(1.0, ratio ** (1.0 / (self.degree - 1.0)))
 
+    def times_power(self, degree: float) -> "PowerDecayCertificate":
+        """Certificate for |y| ** degree * f(y); raises ValueError when the
+        product's tail is no longer integrable (remaining degree <= 1)."""
+        return PowerDecayCertificate(self.degree - degree, self.constant)
+
 
 def _panel_values(
     f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray
@@ -132,7 +146,7 @@ def adaptive_quad(
     f: Callable[[np.ndarray], np.ndarray],
     lower: float,
     upper: float,
-    tol: float | None = None,
+    tol: float,
     *,
     rel: float = 0.0,
     decay: DecayCertificate | PowerDecayCertificate | None = None,
@@ -153,8 +167,6 @@ def adaptive_quad(
     Raises QuadratureError (carrying the best estimate) if the panel budget
     runs out first.
     """
-    if tol is None:
-        tol = default_tolerance()
     if tol < 0 or rel < 0:
         raise ValueError("tolerances must be nonnegative")
 

@@ -227,6 +227,17 @@ class TestRealLineBoundaryTerms:
         quad, _ = realline_boundary_terms(laplace_kernel(), grid, decay, method="quadrature")
         np.testing.assert_allclose(quad, closed, rtol=1e-9)
 
+    def test_quadrature_route_touches_no_closed_form(self):
+        def boom(*args):
+            raise AssertionError("closed form used on the quadrature route")
+
+        grid = build_grid(10.0, 100)
+        decay = DecayModel(2.0)
+        rigged = dataclasses.replace(laplace_kernel(), closed_exterior_moment=boom)
+        quad, _ = realline_boundary_terms(rigged, grid, decay, method="quadrature")
+        closed, _ = realline_boundary_terms(laplace_kernel(), grid, decay)
+        np.testing.assert_allclose(quad, closed, rtol=1e-9)
+
     def test_mixed_kernel_goes_through_quadrature(self):
         grid = build_grid(5.0, 64)
         kernel = mixed_exponential_kernel()

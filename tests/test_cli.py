@@ -1,11 +1,14 @@
 """Command line front end, driven through main(argv)."""
 
+import functools
+import importlib
 import math
 
 import numpy as np
 import pytest
 
 from nldiff.cli import main
+from nldiff.quadrature import adaptive_quad
 
 
 def parse_kv(text):
@@ -149,10 +152,9 @@ class TestCheck:
         assert captured.out == ""
         assert "no whole-line forcing" in captured.err
 
-    def test_quad_tol_tracks_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("NLDIFF_QUAD_TOL", "1e-6")
-        main(["check", "--problem", "realline-algebraic"])
-        assert float(parse_kv(capsys.readouterr().out)["quad_tol"]) == 1e-6
+    def test_quad_tol_reports_the_tolerance_used(self, capsys):
+        main(["check", "--problem", "realline-algebraic", "--tol", "1e-12"])
+        assert float(parse_kv(capsys.readouterr().out)["quad_tol"]) == 1e-13
 
 
 class TestStability:
@@ -195,6 +197,34 @@ class TestStability:
             == 0
         )
         assert parse_kv(capsys.readouterr().out)["variant"] == "neumann"
+
+
+class TestFailureExitCodes:
+    """Solver and quadrature failures exit 3, apart from 1 (check failed,
+    not stable) and 2 (bad input), with one line of diagnostics."""
+
+    def test_solver_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr(importlib.import_module("nldiff.solve"), "_CG_MAX_ITERATIONS", 1)
+        code = main(["solve", "--problem", "dirichlet-sech", "--L", "5", "--M", "64"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert "\n" not in err
+        assert "did not converge" in err and "iterations=1" in err and "residual=" in err
+
+    def test_quadrature_budget_exhaustion(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            importlib.import_module("nldiff.harness"),
+            "adaptive_quad",
+            functools.partial(adaptive_quad, max_rounds=1),
+        )
+        assert main(["check", "--problem", "realline-algebraic"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert "\n" not in err
+        assert "did not reach" in err and "best estimate" in err
 
 
 class TestParser:

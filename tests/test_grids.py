@@ -1,11 +1,12 @@
 """Lattice construction and quadrature weights.
 
 Weight values are pinned three ways: against scipy.integrate.quad literals
-frozen offline, against the package's own numeric-antiderivative fallback,
-and against the exact sum identity that ties the weights to the kernel's
+frozen offline, against the package's own per-hat quadrature route, and
+against the exact sum identity that ties the weights to the kernel's
 near-origin mass.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -134,13 +135,32 @@ class TestWeights:
                 assert ws.weight(j) == pytest.approx(want, rel=1e-9)
 
     def test_routes_agree(self, laplace, mixed):
+        # per node, including the tiny weights next to the mixed kernel's
+        # sign change (j = +-23 at M = 1600)
+        for grid, rtol in ((build_grid(5.0, 64), 1e-10), (build_grid(10.0, 1600), 1e-9)):
+            for kernel in (laplace, mixed):
+                closed = compute_weights(kernel, grid, method="closed").weights
+                quad = compute_weights(kernel, grid, method="quadrature").weights
+                nz = closed != 0.0
+                gaps = np.abs(closed[nz] - quad[nz]) / np.abs(closed[nz])
+                assert gaps.max() <= rtol
+
+    def test_quadrature_route_touches_no_closed_form(self, laplace):
+        def boom(*args):
+            raise AssertionError("closed form used on the quadrature route")
+
+        rigged = dataclasses.replace(
+            laplace,
+            antiderivative_first=boom,
+            antiderivative_second=boom,
+            closed_tail_mass=boom,
+            closed_moments=boom,
+        )
         g = build_grid(5.0, 64)
-        for kernel in (laplace, mixed):
-            closed = compute_weights(kernel, g, method="closed").weights
-            quad = compute_weights(kernel, g, method="quadrature").weights
-            nz = closed != 0.0
-            gaps = np.abs(closed[nz] - quad[nz]) / np.abs(closed[nz])
-            assert gaps.max() <= 1e-10
+        quad = compute_weights(rigged, g, method="quadrature")
+        np.testing.assert_allclose(quad.weights, compute_weights(laplace, g).weights, rtol=1e-10)
+        with pytest.raises(ValueError, match="antiderivative"):
+            compute_weights(laplace.without_closed_forms(), g, method="closed")
 
     def test_interior_weights_track_kernel(self, laplace):
         # w_j = nu(x_j) h + O(h^2) away from the edges

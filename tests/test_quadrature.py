@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nldiff.quadrature import (
@@ -16,7 +16,6 @@ from nldiff.quadrature import (
     PowerDecayCertificate,
     QuadratureError,
     adaptive_quad,
-    default_tolerance,
 )
 
 
@@ -119,13 +118,6 @@ def test_non_convergence_carries_best_estimate():
     assert best.evaluations > 0
 
 
-def test_default_tolerance_env_override(monkeypatch):
-    monkeypatch.setenv("NLDIFF_QUAD_TOL", "1e-6")
-    assert default_tolerance() == 1e-6
-    monkeypatch.delenv("NLDIFF_QUAD_TOL")
-    assert default_tolerance() == 1e-10
-
-
 def test_certificate_tail_bounds():
     cert = DecayCertificate(rate=2.0, constant=3.0)
     # integral of 3 e^(-2y) from 5 on
@@ -135,6 +127,37 @@ def test_certificate_tail_bounds():
 
     pcert = PowerDecayCertificate(degree=4.0, constant=2.0)
     assert abs(pcert.tail_bound(10.0) - 2.0 / 3.0 * 10.0 ** -3.0) <= 1e-18
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(min_value=-4.0, max_value=6.0),
+    st.floats(min_value=0.0, max_value=5.0),
+    st.floats(min_value=0.1, max_value=5.0),
+    st.floats(min_value=0.1, max_value=10.0),
+)
+def test_times_power_bounds_the_weighted_tail(degree, offset, rate, constant):
+    # a decreasing factor is bounded by its value at the offset, which must
+    # stay away from zero
+    assume(degree >= 0.0 or offset >= 0.1)
+    cert = DecayCertificate(rate, constant).times_power(degree, offset)
+    y = np.linspace(0.0, 80.0 / rate, 40001)
+    weighted = (offset + y) ** degree * constant * np.exp(-rate * y)
+    assert np.all(weighted <= cert.constant * np.exp(-cert.rate * y))
+
+
+def test_times_power_degree_zero_is_identity():
+    cert = DecayCertificate(rate=2.0, constant=3.0)
+    assert cert.times_power(0) is cert
+    assert cert.times_power(0.0, 4.0) is cert
+
+
+def test_power_certificate_times_power():
+    cert = PowerDecayCertificate(degree=4.0, constant=2.0)
+    assert cert.times_power(2) == PowerDecayCertificate(degree=2.0, constant=2.0)
+    for degree in (3.0, 3.5):
+        with pytest.raises(ValueError):
+            cert.times_power(degree)
 
 
 @settings(max_examples=25, deadline=None)
