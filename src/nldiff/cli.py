@@ -40,7 +40,7 @@ def _lookup(problem_id: str):
     entry = registry().get(problem_id)
     if entry is None:
         known = ", ".join(sorted(registry()))
-        raise SystemExit("unknown problem %r; known ids: %s" % (problem_id, known))
+        raise ValueError("unknown problem %r; known ids: %s" % (problem_id, known))
     return entry
 
 
@@ -112,6 +112,7 @@ def _cmd_stability(args: argparse.Namespace) -> int:
     )
     print("symbol_min=%.17g" % float(np.min(report.symbol_values)))
     print("symbol_lower_bound=%.17g" % report.symbol_lower_bound)
+    print("symbol_error=%.17g" % report.symbol_error_estimate)
     return 0 if report.stable else 1
 
 
@@ -153,8 +154,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ValueError as exc:
-        # bad geometry or sweep parameters reach here; argparse already
-        # uses exit code 2 for malformed invocations, keep the same code
+        # an unknown problem id, bad geometry or sweep parameters reach
+        # here; argparse already uses exit code 2 for malformed
+        # invocations, keep the same code
         sys.stderr.write("error: %s\n" % exc)
         return 2
     except SolveError as exc:

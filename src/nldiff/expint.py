@@ -3,7 +3,8 @@
 E_p(x) = integral over t in [1, inf) of t**(-p) * exp(-x*t) dt, for x > 0.
 
 The classical evaluation split is used: a modified Lentz continued fraction
-for x > 1 and the ascending series for x <= 1.  The series form
+for x > 1, run over an array argument at once, and the ascending series for
+x <= 1, element by element.  The series form
 
     E_p(x) = Gamma(1-p) x**(p-1) - sum_m (-x)**m / (m! (m + 1 - p))
 
@@ -46,29 +47,38 @@ _ZETA = (
 _EPS = float(np.finfo(float).eps)
 
 
-def _continued_fraction(p: float, x: float) -> float:
+def _continued_fraction(p: float, x: np.ndarray) -> np.ndarray:
     # Modified Lentz applied to the standard continued fraction
-    # E_p(x) = e^-x / (x + p - 1*p/(x + p + 2 - 2(p+1)/(x + p + 4 - ...)))
+    # E_p(x) = e^-x / (x + p - 1*p/(x + p + 2 - 2(p+1)/(x + p + 4 - ...))),
+    # run on every element at once; an element retires as soon as its own
+    # delta converges, so each one sees the arithmetic of a scalar loop
     tiny = 1e-300
+    out = np.empty_like(x)
+    live = np.arange(x.size)
     b = x + p
-    c = 1.0 / tiny
+    c = np.full_like(x, 1.0 / tiny)
     d = 1.0 / b
     h = d
     for i in range(1, 400):
+        if not live.size:
+            break
         a = -i * (p - 1.0 + i)
-        b += 2.0
+        b = b + 2.0
         d = a * d + b
-        if d == 0.0:
-            d = tiny
+        d[d == 0.0] = tiny
         c = b + a / c
-        if c == 0.0:
-            c = tiny
+        c[c == 0.0] = tiny
         d = 1.0 / d
         delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 4.0 * _EPS:
-            return h * math.exp(-x)
-    raise RuntimeError("continued fraction for E_p(%g, %g) stalled" % (p, x))
+        h = h * delta
+        done = np.abs(delta - 1.0) < 4.0 * _EPS
+        if done.any():
+            out[live[done]] = h[done] * np.exp(-x[live[done]])
+            going = ~done
+            live, b, c, d, h = live[going], b[going], c[going], d[going], h[going]
+    if live.size:
+        raise RuntimeError("continued fraction for E_p(%g, %g) stalled" % (p, x[live[0]]))
+    return out
 
 
 def _series_regular(p: float, x: float, skip: int) -> float:
@@ -108,24 +118,23 @@ def _series(p: float, x: float) -> float:
     return bracket - _series_regular(p, x, skip=n - 1)
 
 
-def _exp_int_scalar(p: float, x: float) -> float:
+def exp_int(p: float, x):
+    """E_p(x) for p > 0 and x > 0; x may be a scalar or an array.
+
+    Elements with x > 1 run the continued fraction together; the series
+    elements (x <= 1) run one by one.
+    """
+    p = float(p)
     if not p > 0.0:
         raise ValueError("exp_int requires order p > 0, got %r" % (p,))
-    if not x > 0.0:
-        raise ValueError("exp_int requires argument x > 0, got %r" % (x,))
-    if x > 1.0:
-        return _continued_fraction(p, x)
-    return _series(p, x)
-
-
-def exp_int(p: float, x):
-    """E_p(x) for p > 0 and x > 0; x may be a scalar or an array."""
-    if np.isscalar(x) or getattr(x, "ndim", 1) == 0:
-        return _exp_int_scalar(float(p), float(x))
     xs = np.asarray(x, dtype=float)
-    out = np.empty(xs.shape, dtype=float)
     flat = xs.ravel()
-    dest = out.ravel()
-    for i in range(flat.size):
-        dest[i] = _exp_int_scalar(float(p), float(flat[i]))
-    return out
+    bad = ~(flat > 0.0)
+    if bad.any():
+        raise ValueError("exp_int requires argument x > 0, got %r" % (float(flat[bad][0]),))
+    out = np.empty(flat.shape)
+    far = flat > 1.0
+    out[far] = _continued_fraction(p, flat[far])
+    for i in np.flatnonzero(~far):
+        out[i] = _series(p, float(flat[i]))
+    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)

@@ -14,8 +14,10 @@ unknowns.
 The operator never stores an n x n array.  Products go through a circulant
 embedding of T and numpy's real FFT, padded to a 5-smooth length, in
 O(n log n); the row-sum infinity norm follows from prefix sums in O(n).
-`dense()` materialises the matrix for the oracles (dense LU, eigvalsh) and
-refuses beyond MAX_DENSE_SIZE unknowns before allocating anything.
+`dense()` materialises the matrix for the dense LU oracle, and
+`core_min_eigenvalue()` splits the symmetric core into its even and odd
+halves for two eigvalsh calls of half the size; both refuse beyond
+MAX_DENSE_SIZE unknowns before allocating anything.
 """
 
 from __future__ import annotations
@@ -45,6 +47,14 @@ def fast_length(size: int) -> int:
             odd *= 3
         five *= 5
     return best
+
+
+def _toeplitz_view(column: np.ndarray) -> np.ndarray:
+    """Read-only view of the symmetric Toeplitz matrix with this first column."""
+    n = column.size
+    # line[p] = c_{|p - (n-1)|}, so its window starting at n-1-i is row i
+    line = np.concatenate((column[::-1], column[1:]))
+    return np.lib.stride_tricks.sliding_window_view(line, n)[::-1]
 
 
 def convolve(kernel: np.ndarray, data: np.ndarray) -> np.ndarray:
@@ -139,17 +149,40 @@ class StructuredOperator:
         first = ((n - k) * self.column + k * wrapped) / n
         return np.fft.rfft(first).real
 
-    def dense(self) -> np.ndarray:
-        """The n x n matrix, for oracles only; refuses beyond MAX_DENSE_SIZE."""
+    def _refuse_large_dense(self) -> None:
         n = self.size
         if n > MAX_DENSE_SIZE:
             raise ValueError(
                 "refusing to materialise a dense %d x %d operator (limit %d unknowns, "
                 "%.1f GB); use the structured solve" % (n, n, MAX_DENSE_SIZE, 8e-9 * n * n)
             )
-        # line[p] = c_{|p - (n-1)|}, so its window starting at n-1-i is row i
-        line = np.concatenate((self.column[::-1], self.column[1:]))
-        matrix = np.lib.stride_tricks.sliding_window_view(line, n)[::-1].copy()
+
+    def core_min_eigenvalue(self) -> float:
+        """Smallest eigenvalue of the Toeplitz core T, by two half-size eigvalsh.
+
+        T is centrosymmetric (J T J = T, J the exchange matrix).  With
+        m = n // 2, A the leading m x m block of T and H[i, j] = c[n-1-i-j]
+        its top right block times J, T is orthogonally similar to the odd
+        block A - H plus the even block A + H, which for odd n is bordered
+        by sqrt(2) times the centre column above the diagonal and by c_0.
+        Refuses beyond MAX_DENSE_SIZE unknowns, like dense().
+        """
+        self._refuse_large_dense()
+        n, c = self.size, self.column
+        m = n // 2
+        leading = _toeplitz_view(c[:m])
+        hankel = np.lib.stride_tricks.sliding_window_view(c[::-1][: 2 * m - 1], m)
+        even = leading + hankel
+        if n % 2:
+            border = np.sqrt(2.0) * c[m:0:-1]
+            even = np.block([[even, border[:, None]], [border[None, :], c[:1, None]]])
+        low = min(np.linalg.eigvalsh(even)[0], np.linalg.eigvalsh(leading - hankel)[0])
+        return float(low)
+
+    def dense(self) -> np.ndarray:
+        """The n x n matrix, for oracles only; refuses beyond MAX_DENSE_SIZE."""
+        self._refuse_large_dense()
+        matrix = _toeplitz_view(self.column).copy()
         if self.rank:
             matrix[:, 0] -= self.boundary[:, 0]
             matrix[:, -1] -= self.boundary[:, 1]

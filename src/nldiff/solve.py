@@ -14,14 +14,33 @@ residual with the fast matvec and refuses to return a solution that does
 not satisfy it.
 
 The stability report samples the operator symbol on the cosine modes of the
-weight support.  The naive form 1 - integral(nu * cos) cancels
-catastrophically once the tail mass drops below the rounding level of the
-order one integral, so the equivalent rearrangement
+weight support, j = 0..M with R = M h the weight support radius:
 
-    symbol_j = tail_mass + integral of 2 sin^2(j pi x / (2 R)) nu(x) dx
+    symbol_j = tail_mass + integral over |x| <= R of (1 - cos(j pi x / R)) nu(x) dx
+             = tail_mass + 2 (S - C_j),
 
-over |x| <= R (R the weight support radius) is used instead; both terms are
-nonnegative for nonnegative kernels and nothing cancels.
+S the integral of nu over [0, R] and C_j its cosine transform there.  The
+whole table comes from one pass (`quadrature.versine_transform`): nu is
+evaluated once at the 15 Gauss nodes of equal panels with edges on the
+hat grid, so the kink of nu at 0 sits on an edge, and one FFT per Gauss
+node gives C_j for every j.  The panel count doubles until two resolutions
+agree to `tol` in every sample; their worst gap is reported as
+`symbol_error_estimate`.  The subtraction S - C_j loses about
+eps * ||nu||_1 in absolute terms, far inside `tol`.  The tail mass, which
+can sit far below that rounding level, is added apart and never cancels:
+symbol_0 is the tail mass exactly.
+
+Known limitation: a kernel with a kink between panel edges can fool the
+two-resolution estimate, as it fooled the per-mode adaptive quadrature
+before it.  For nu = e^-|y| / 2 + 0.2 max(0, a - |y|) e^-|y| at L = 10,
+M = 256 and a = 0.3, both passed tol = 1e-10 with actual worst errors of
+1.6e-10 (this table, estimate 4.0e-11) and 4.2e-9 (one adaptive quadrature
+per mode); at a = 0.351414 they were 5.8e-12 and 6.0e-9.
+
+The Dirichlet certificate is the smallest eigenvalue of the symmetric core,
+from its even and odd centrosymmetric halves
+(`StructuredOperator.core_min_eigenvalue`); the whole-line and flux-closure
+certificate is the O(n) norm ||I - N||_inf.
 """
 
 from __future__ import annotations
@@ -36,7 +55,7 @@ from .assembly import DiscreteSystem
 from .grids import Grid
 from .kernels import Kernel, tail_mass
 from .operator import StructuredOperator
-from .quadrature import adaptive_quad
+from .quadrature import versine_transform
 
 __all__ = [
     "DecayTail",
@@ -325,28 +344,15 @@ class StabilityReport:
     min_eigenvalue: float | None
     contraction_norm: float | None
     stable: bool
+    # worst gap between the symbol tables on P and 2P panels
+    symbol_error_estimate: float
 
 
-def _symbol_samples(kernel: Kernel, grid: Grid, tol: float) -> np.ndarray:
+def _symbol_samples(kernel: Kernel, grid: Grid, tol: float) -> tuple[np.ndarray, float]:
     radius = grid.weight_radius
-    mass = tail_mass(kernel, radius)
-    out = np.empty(grid.steps + 1)
-    out[0] = mass
-    for j in range(1, grid.steps + 1):
-        # the integrand is even: integrate 4 sin^2 nu over [0, R] only, half
-        # the work and half the size of every temporary array; panel edges
-        # on the zeros of sin(j pi x / (2 R)), beyond 256 panels the
-        # adaptive refinement picks up the remaining oscillation
-        panels = max(1, min(j // 2, 256))
-        edges = radius * np.arange(1, panels) / panels
-        freq = j * math.pi / (2.0 * radius)
-
-        def integrand(x):
-            s = np.sin(freq * x)
-            return 4.0 * s * s * kernel.evaluate(x)
-
-        out[j] = mass + adaptive_quad(integrand, 0.0, radius, tol, breakpoints=edges).value
-    return out
+    table = versine_transform(kernel.evaluate, radius, grid.steps, tol / 2.0)
+    symbol = tail_mass(kernel, radius) + 2.0 * table.value
+    return symbol, 2.0 * table.abs_error_estimate
 
 
 def stability_report(system: DiscreteSystem, tol: float = 1e-10) -> StabilityReport:
@@ -354,18 +360,20 @@ def stability_report(system: DiscreteSystem, tol: float = 1e-10) -> StabilityRep
 
     Dirichlet systems are symmetric, so the certificate is the smallest
     eigenvalue; real line systems lose symmetry through the boundary
-    columns and certify through ||I - N||_inf < 1 instead.
+    columns and certify through ||I - N||_inf < 1 instead.  ``tol`` bounds
+    the estimated absolute error of each symbol sample; a table that does
+    not reach it raises QuadratureError.
     """
     kernel = system.kernel
     grid = system.grid
     operator = system.operator
 
     # the certificate comes first: the dense guard of a Dirichlet system
-    # that is too large then fails before M+1 symbol quadratures run
+    # that is too large then fails before any symbol work
     min_eig: float | None = None
     contraction: float | None = None
     if system.variant == "dirichlet":
-        min_eig = float(np.linalg.eigvalsh(operator.dense()).min())
+        min_eig = operator.core_min_eigenvalue()
         stable = min_eig > 0.0
     else:
         # I - N = (I - T) + B E^T, again Toeplitz plus boundary columns
@@ -374,7 +382,7 @@ def stability_report(system: DiscreteSystem, tol: float = 1e-10) -> StabilityRep
         contraction = StructuredOperator(gap_column, -operator.boundary).norm_inf()
         stable = contraction < 1.0
 
-    symbol = _symbol_samples(kernel, grid, tol)
+    symbol, symbol_error = _symbol_samples(kernel, grid, tol)
     q = system.decay.exponent if system.decay is not None else math.inf
     damp = 1.0 if math.isinf(q) else 1.0 - 3.0 ** (-q)
     bound = damp * tail_mass(kernel, 2.0 * grid.weight_radius)
@@ -385,4 +393,5 @@ def stability_report(system: DiscreteSystem, tol: float = 1e-10) -> StabilityRep
         min_eigenvalue=min_eig,
         contraction_norm=contraction,
         stable=stable,
+        symbol_error_estimate=symbol_error,
     )

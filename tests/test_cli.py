@@ -55,11 +55,12 @@ class TestSolve:
         assert lines[0] == "x,u"
         assert len(lines) == 18  # M + 1 nodes on the whole-line grid
 
-    def test_unknown_problem(self):
-        with pytest.raises(SystemExit) as err:
-            main(["solve", "--problem", "no-such", "--L", "5", "--M", "16"])
-        assert "unknown problem" in str(err.value)
-        assert "dirichlet-sech" in str(err.value)
+    def test_unknown_problem(self, capsys):
+        assert main(["solve", "--problem", "no-such", "--L", "5", "--M", "16"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err
+        assert "unknown problem" in err
+        assert "dirichlet-sech" in err
 
 
 class TestConverge:
@@ -102,11 +103,13 @@ class TestConverge:
         halves = [float(l.split(",")[1]) for l in lines[1:]]
         assert halves == [4.0, 4.0, 4.0, 8.0, 8.0, 8.0]
 
-    def test_unknown_problem_lists_known_ids(self):
-        with pytest.raises(SystemExit) as err:
-            main(["converge", "--problem", "no-such", "--L", "5", "--M", "16,32,64"])
-        assert "unknown problem" in str(err.value)
-        assert "realline-algebraic" in str(err.value)
+    def test_unknown_problem_lists_known_ids(self, capsys):
+        code = main(["converge", "--problem", "no-such", "--L", "5", "--M", "16,32,64"])
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err
+        assert "unknown problem" in err
+        assert "realline-algebraic" in err
 
     def test_too_few_step_counts_is_a_clean_error(self, capsys):
         code = main(
@@ -169,6 +172,7 @@ class TestStability:
         assert float(kv["symbol_lower_bound"]) == pytest.approx(
             math.exp(-20.0), rel=1e-12
         )
+        assert 0.0 <= float(kv["symbol_error"]) <= 1e-10
 
     def test_realline_report(self, capsys):
         assert (
@@ -225,6 +229,17 @@ class TestFailureExitCodes:
         err = captured.err.strip()
         assert "\n" not in err
         assert "did not reach" in err and "best estimate" in err
+
+    def test_symbol_table_exhaustion(self, capsys, monkeypatch):
+        # a cap at the first table leaves no second resolution to compare
+        monkeypatch.setattr(importlib.import_module("nldiff.quadrature"), "_VERSINE_PANEL_CAP", 64)
+        code = main(["stability", "--problem", "realline-algebraic", "--L", "5", "--M", "64"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert "\n" not in err
+        assert "versine transform did not reach" in err
 
 
 class TestParser:

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from nldiff.expint import exp_int
+from nldiff.expint import _series, exp_int
 from nldiff.quadrature import DecayCertificate, adaptive_quad
 
 mpmath.mp.dps = 25
@@ -108,3 +108,40 @@ def test_array_argument():
     got = exp_int(2.0, xs)
     want = np.array([exp_int(2.0, float(x)) for x in xs])
     np.testing.assert_allclose(got, want, rtol=0, atol=0)
+
+
+def _scalar_continued_fraction(p, x):
+    # the modified Lentz loop one argument at a time, the reference for the
+    # array recurrence in exp_int
+    tiny = 1e-300
+    b = x + p
+    c = 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    for i in range(1, 400):
+        a = -i * (p - 1.0 + i)
+        b += 2.0
+        d = a * d + b
+        if d == 0.0:
+            d = tiny
+        c = b + a / c
+        if c == 0.0:
+            c = tiny
+        d = 1.0 / d
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) < 4.0 * np.finfo(float).eps:
+            return h * math.exp(-x)
+    raise RuntimeError("reference continued fraction stalled")
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 3.0 + 1e-9, 4.5])
+def test_array_matches_scalar_loop(p):
+    # both branches: the series below x = 1, the continued fraction above;
+    # the recurrence is the same, the gap is np.exp against math.exp
+    xs = np.concatenate([np.geomspace(1e-3, 1.0, 40), np.geomspace(1.0 + 1e-12, 60.0, 400)])
+    got = exp_int(p, xs)
+    want = np.array(
+        [_series(p, x) if x <= 1.0 else _scalar_continued_fraction(p, x) for x in xs]
+    )
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 4e-16

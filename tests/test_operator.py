@@ -9,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nldiff.operator import MAX_DENSE_SIZE, StructuredOperator, convolve, fast_length
 
@@ -84,6 +86,16 @@ def test_circulant_eigenvalues_are_rayleigh_quotients(size):
     assert eigenvalues.max() <= spectrum[-1] + 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(column=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=80))
+def test_core_min_eigenvalue_matches_eigvalsh(column):
+    # relative to the spectral radius, the scale of any eigenvalue perturbation
+    op = StructuredOperator(np.array(column), np.zeros((len(column), 0)))
+    spectrum = np.linalg.eigvalsh(op.dense())
+    scale = max(float(np.abs(spectrum).max()), 1e-300)
+    assert abs(op.core_min_eigenvalue() - spectrum[0]) <= 1e-12 * scale
+
+
 def test_rejects_malformed_blocks():
     with pytest.raises(ValueError):
         StructuredOperator(np.ones(4), np.ones((4, 1)))
@@ -100,6 +112,8 @@ def test_dense_refuses_before_allocating():
     try:
         with pytest.raises(ValueError, match="refusing to materialise"):
             op.dense()
+        with pytest.raises(ValueError, match="refusing to materialise"):
+            op.core_min_eigenvalue()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -4,6 +4,7 @@ The integrator is the independent reference for every closed form in the
 package, so its own checks lean on analytically known integrals only.
 """
 
+import importlib
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from nldiff.quadrature import (
     PowerDecayCertificate,
     QuadratureError,
     adaptive_quad,
+    versine_transform,
 )
 
 
@@ -166,3 +168,29 @@ def test_exponential_integral_identity(a, b):
     # int_0^b e^(-a y) dy has an elementary antiderivative
     r = adaptive_quad(lambda y: np.exp(-a * y), 0.0, b, 1e-12)
     assert abs(r.value - (1.0 - math.exp(-a * b)) / a) <= 1e-11
+
+
+def test_versine_transform_closed_form():
+    # int_0^R e^-x (1 - cos(a x)) dx with a = j pi / R, R = 20
+    radius, modes = 20.0, 200
+    result = versine_transform(lambda x: np.exp(-x), radius, modes, 1e-12)
+    a = np.arange(modes + 1) * math.pi / radius
+    sign = (-1.0) ** np.arange(modes + 1)
+    want = (1.0 - math.exp(-radius)) - (1.0 - sign * math.exp(-radius)) / (1.0 + a * a)
+    assert result.value[0] == 0.0
+    assert np.abs(result.value - want).max() <= 1e-14
+    assert result.converged and result.abs_error_estimate <= 1e-12
+    # the P = modes table and the 2P table, 15 nodes per panel
+    assert result.evaluations == 15 * 3 * modes
+
+
+def test_versine_transform_cap_carries_best_table(monkeypatch):
+    # a jump between panel edges converges at first order, far too slowly
+    monkeypatch.setattr(importlib.import_module("nldiff.quadrature"), "_VERSINE_PANEL_CAP", 256)
+    with pytest.raises(QuadratureError, match="within 256 panels") as err:
+        versine_transform(lambda x: np.where(x < 0.3, 1.0, 0.5), 10.0, 64, 1e-10)
+    best = err.value.result
+    assert not best.converged
+    assert best.value.shape == (65,)
+    assert 1e-10 < best.abs_error_estimate < math.inf
+    assert best.evaluations == 15 * (64 + 128 + 256)

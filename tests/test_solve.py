@@ -2,7 +2,8 @@
 
 The symbol samples have independent closed forms for both built-in kernels,
 derived by integrating 2 sin^2 against the exponentials term by term; those
-pin _symbol_samples through the public stability report.
+pin _symbol_samples through the public stability report.  A kernel without
+closed forms is checked against one adaptive quadrature per mode instead.
 """
 
 import dataclasses
@@ -24,8 +25,15 @@ from nldiff.assembly import (
 )
 from nldiff.grids import build_grid
 from nldiff.harness import registry
-from nldiff.kernels import laplace_kernel, mixed_exponential_kernel, tail_mass
+from nldiff.kernels import (
+    SignClass,
+    build_kernel,
+    laplace_kernel,
+    mixed_exponential_kernel,
+    tail_mass,
+)
 from nldiff.operator import MAX_DENSE_SIZE, StructuredOperator
+from nldiff.quadrature import _versine_panels, adaptive_quad
 from nldiff.solve import SolveError, Solution, evaluate_solution, solve, stability_report
 
 
@@ -332,3 +340,68 @@ class TestStability:
     def test_bound_sits_below_samples(self, sech_system):
         report = stability_report(sech_system)
         assert report.symbol_values.min() >= report.symbol_lower_bound
+
+    @pytest.mark.parametrize("half_width, steps", [(5.0, 64), (10.0, 256)])
+    def test_symbol_table_matches_per_mode_quadrature(self, half_width, steps):
+        # a smooth kernel with no closed forms: weights, tail mass and symbol
+        # all run on quadrature
+        kernel = build_kernel(
+            lambda y: 1.0 / (math.pi * np.cosh(y)),
+            decay_rate=1.0,
+            sign_class=SignClass.NONNEGATIVE,
+        )
+        problem = _variant_problem("dirichlet", kernel, half_width)
+        system = assemble(problem, build_grid(half_width, steps))
+        report = stability_report(system)
+        want = _per_mode_symbols(kernel, system.grid, 1e-10)
+        np.testing.assert_allclose(report.symbol_values, want, rtol=0.0, atol=1e-10)
+        assert 0.0 <= report.symbol_error_estimate <= 1e-10
+
+    def test_symbol_error_is_the_gap_between_resolutions(self, sech_system):
+        # the Laplace table converges at the first comparison, M against 2M
+        # panels; the estimate is that gap in symbol units, twice the versine's
+        grid = sech_system.grid
+        coarse, fine = (
+            _versine_panels(sech_system.kernel.evaluate, grid.weight_radius, grid.steps, panels)
+            for panels in (grid.steps, 2 * grid.steps)
+        )
+        report = stability_report(sech_system)
+        assert report.symbol_error_estimate == 2.0 * np.abs(fine - coarse).max()
+        mass = tail_mass(sech_system.kernel, grid.weight_radius)
+        np.testing.assert_array_equal(report.symbol_values, mass + 2.0 * fine)
+
+    def test_symbol_table_evaluation_count(self):
+        calls = []
+        base = laplace_kernel()
+
+        def counted(y):
+            calls.append(np.size(y))
+            return base.evaluate(y)
+
+        case = registry()["realline-algebraic"].build(10.0)
+        problem = dataclasses.replace(
+            case.problem, kernel=dataclasses.replace(base, evaluate=counted)
+        )
+        system = assemble(problem, build_grid(10.0, 800))
+        calls.clear()
+        stability_report(system)
+        # the P = M and 2P tables; one adaptive quadrature per mode took 6e6
+        assert sum(calls) <= 15 * 3 * 800
+
+
+def _per_mode_symbols(kernel, grid, tol):
+    """The symbol table by one adaptive quadrature per mode, as an oracle."""
+    radius = grid.weight_radius
+    mass = tail_mass(kernel, radius)
+    out = [mass]
+    for j in range(1, grid.steps + 1):
+        panels = max(1, min(j // 2, 256))
+        edges = radius * np.arange(1, panels) / panels
+        freq = j * math.pi / (2.0 * radius)
+
+        def integrand(x, freq=freq):
+            s = np.sin(freq * x)
+            return 4.0 * s * s * kernel.evaluate(x)
+
+        out.append(mass + adaptive_quad(integrand, 0.0, radius, tol, breakpoints=edges).value)
+    return np.array(out)
