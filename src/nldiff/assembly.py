@@ -18,6 +18,13 @@ its first column plus, for the real line and flux closure, two boundary
 columns.  The exterior sums are one FFT convolution of the weight table with
 the exterior data or the decay profile, so assembly costs O(n log n) time
 and O(n) memory.
+
+The beyond-support integrals take a closed form when the problem or the
+kernel carries one.  Otherwise all of them come from one batched adaptive
+quadrature (`adaptive_quad_many`): one tail integral per node for the real
+line, two per node (left and right tail) for Dirichlet data, each with its
+own certificate and tolerance.  `dirichlet_boundary_term` is the one-node
+case of the Dirichlet routine that `assemble_dirichlet` runs on every node.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ import numpy as np
 from .grids import Grid, WeightSet, compute_weights
 from .kernels import Kernel, _route_kernel
 from .operator import StructuredOperator, convolve
-from .quadrature import DecayCertificate, adaptive_quad
+from .quadrature import DecayCertificate, adaptive_quad_many
 
 __all__ = [
     "DecayModel",
@@ -130,15 +137,13 @@ def _core_column(weights: WeightSet, size: int) -> np.ndarray:
     return column
 
 
-def dirichlet_boundary_term(problem: DirichletProblem, grid: Grid, i: int) -> float:
-    """Boundary integral of the exterior data beyond the weight support,
-    B_i = int_{|y| >= weight_radius} g(x_i - y) nu(y) dy."""
-    if abs(i) > grid.steps // 2 - 1:
-        raise ValueError("boundary term index %d outside the solution range" % i)
-    xi = grid.node(i)
+def _dirichlet_boundary(problem: DirichletProblem, grid: Grid, x: np.ndarray) -> np.ndarray:
+    """B(x) = int_{|y| >= weight_radius} g(x - y) nu(y) dy at every node position
+    in x: the problem's closed form, or two certified tail quadratures per
+    node, all of them in one batch."""
     radius = grid.weight_radius
     if problem.closed_boundary_term is not None:
-        return float(np.asarray(problem.closed_boundary_term(np.asarray([xi]), radius))[0])
+        return np.asarray(problem.closed_boundary_term(x, radius), dtype=float)
     if problem.exterior_growth is None:
         raise ValueError(
             "dirichlet boundary term needs a closed form or a growth certificate "
@@ -146,32 +151,35 @@ def dirichlet_boundary_term(problem: DirichletProblem, grid: Grid, i: int) -> fl
         )
     kernel = problem.kernel
     growth = problem.exterior_growth
-    # |g(xi -+ y) nu(y)| <= C_g (1 + |xi| + |y|)^degree * C_nu e^(-rate |y|)
-    cert = DecayCertificate(
-        kernel.decay_rate, kernel.decay_constant * growth.constant
-    ).times_power(growth.degree, 1.0 + abs(xi))
-    g = problem.exterior_data
-    nu = kernel.evaluate
+    base = DecayCertificate(kernel.decay_rate, kernel.decay_constant * growth.constant)
+    # |g(x -+ y) nu(y)| <= C_g (1 + |x| + |y|)^degree * C_nu e^(-rate |y|)
+    certs = [base.times_power(growth.degree, 1.0 + abs(float(xi))) for xi in x]
     # the integral is itself a kernel tail, so an absolute tolerance must be
     # scaled to the certified tail size or the answer drowns in slack
-    tol = max(1e-12 * cert.tail_bound(radius), 1e-300)
-    right = adaptive_quad(
-        lambda y: np.asarray(g(xi - y), dtype=float) * nu(y),
-        radius,
+    tol = np.array([max(1e-12 * cert.tail_bound(radius), 1e-300) for cert in certs])
+    # integrals 0..n-1 take g(x - y) (the right tail), n..2n-1 g(x + y)
+    n = x.size
+    center = np.concatenate([x, x])
+    sign = np.repeat([1.0, -1.0], n)
+    g = problem.exterior_data
+    nu = kernel.evaluate
+    sides = adaptive_quad_many(
+        lambda y, owner: np.asarray(g(center[owner] - sign[owner] * y), dtype=float) * nu(y),
+        np.full(2 * n, radius),
         math.inf,
-        tol,
+        np.concatenate([tol, tol]),
         rel=1e-12,
-        decay=cert,
+        decay=certs + certs,
     ).value
-    left = adaptive_quad(
-        lambda y: np.asarray(g(xi + y), dtype=float) * nu(y),
-        radius,
-        math.inf,
-        tol,
-        rel=1e-12,
-        decay=cert,
-    ).value
-    return right + left
+    return sides[:n] + sides[n:]
+
+
+def dirichlet_boundary_term(problem: DirichletProblem, grid: Grid, i: int) -> float:
+    """Boundary integral of the exterior data beyond the weight support,
+    B_i = int_{|y| >= weight_radius} g(x_i - y) nu(y) dy."""
+    if abs(i) > grid.steps // 2 - 1:
+        raise ValueError("boundary term index %d outside the solution range" % i)
+    return float(_dirichlet_boundary(problem, grid, np.array([grid.node(i)]))[0])
 
 
 def realline_boundary_terms(
@@ -202,19 +210,14 @@ def realline_boundary_terms(
     # scale the tolerance to the certified tail size; these integrals sit far
     # below any fixed absolute tolerance
     tol = max(1e-12 * cert.tail_bound(radius), 1e-300)
-    b1 = np.empty(xi.size)
-    for r, center in enumerate(xi):
-        b1[r] = (
-            scale
-            * adaptive_quad(
-                lambda s: np.abs(center + s) ** (-q) * kernel.evaluate(s),
-                radius,
-                math.inf,
-                tol,
-                rel=1e-12,
-                decay=cert,
-            ).value
-        )
+    b1 = scale * adaptive_quad_many(
+        lambda s, owner: np.abs(xi[owner] + s) ** (-q) * kernel.evaluate(s),
+        np.full(xi.size, radius),
+        math.inf,
+        tol,
+        rel=1e-12,
+        decay=cert,
+    ).value
     return b1, b1[::-1].copy()
 
 
@@ -237,12 +240,7 @@ def assemble_dirichlet(
     sums = convolve(weights.weights, data)
     exterior = sums[0, idx + k] + sums[1, k - idx]
 
-    radius = grid.weight_radius
-    if problem.closed_boundary_term is not None:
-        boundary = np.asarray(problem.closed_boundary_term(h * idx, radius), dtype=float)
-    else:
-        boundary = np.array([dirichlet_boundary_term(problem, grid, int(i)) for i in idx])
-
+    boundary = _dirichlet_boundary(problem, grid, h * idx)
     rhs = np.asarray(problem.forcing(h * idx), dtype=float) + exterior + boundary
     return DiscreteSystem(
         operator=StructuredOperator(_core_column(weights, idx.size), np.zeros((idx.size, 0))),

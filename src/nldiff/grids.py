@@ -7,7 +7,9 @@ one private routine computes them all: with F the decaying second
 antiderivative of the kernel (F'' = nu), a hat integral is a second
 difference of F at the nodes (with F' at the half hats on the ends), so the
 closed route is vectorized over the whole table; a kernel without both
-antiderivatives gets one adaptive quadrature per hat instead.
+antiderivatives gets every hat from one batched adaptive quadrature
+(`adaptive_quad_many`), each hat an integral of its own with its centre as
+a breakpoint.
 
 Weight layout: index j runs over [-M, M] with w_0 = 0 and w_{-j} = w_j; the
 array is stored in full, offset by M.
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import Kernel, _route_kernel, moment_f, tail_mass
-from .quadrature import adaptive_quad
+from .quadrature import adaptive_quad_many
 
 __all__ = ["Grid", "WeightSet", "build_grid", "hat_tail_integral", "compute_weights"]
 
@@ -89,7 +91,7 @@ def _hat_integrals(
 
     The closed route evaluates F and F' once at every node and takes second
     differences (F' enters at the two half hats); without both
-    antiderivatives each requested hat is integrated by its own quadrature.
+    antiderivatives all requested hats are integrated in one batch.
     cut_cell, the moment weight of the inward half of the k = 1 hat, is
     added to that entry first.
     """
@@ -107,18 +109,17 @@ def _hat_integrals(
         table[m] = fp_nodes[m] + (f_nodes[m - 1] - f_nodes[m]) / h
         return table[k]
 
-    out = np.empty(k.size)
-    for r, node in enumerate(k):
-        center = h * node
-        lo = h * (node if node == 1 else node - 1)
-        hi = h * (node if node == m else node + 1)
+    center = h * k
+    lo = h * np.where(k == 1, k, k - 1)
+    hi = h * np.where(k == m, k, k + 1)
 
-        def integrand(y, center=center):
-            hat = 1.0 - np.abs(y - center) / h
-            return np.clip(hat, 0.0, None) * kernel.evaluate(y)
+    def integrand(y, owner):
+        hat = 1.0 - np.abs(y - center[owner]) / h
+        return np.clip(hat, 0.0, None) * kernel.evaluate(y)
 
-        breaks = (center,) if lo < center < hi else ()
-        out[r] = adaptive_quad(integrand, lo, hi, 0.0, rel=1e-13, breakpoints=breaks).value
+    # every hat centre is a breakpoint; each hat keeps only its own, which
+    # lies strictly inside its support unless the hat is a half hat
+    out = adaptive_quad_many(integrand, lo, hi, 0.0, rel=1e-13, breakpoints=center).value
     out[k == 1] += cut_cell
     return out
 

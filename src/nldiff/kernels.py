@@ -38,6 +38,11 @@ __all__ = [
 ]
 
 
+# the derived decay constant is this many times the probed peak of
+# |nu(y)| exp(rate y)
+_DECAY_MARGIN = 1.25
+
+
 class SignClass(enum.Enum):
     NONNEGATIVE = "nonnegative"
     MIXED_WITH_POSITIVE_TAIL = "mixed_with_positive_tail"
@@ -114,10 +119,21 @@ def build_kernel(
     """
     if decay_rate <= 0:
         raise ValueError("decay_rate must be positive")
+    probe = np.linspace(1e-9, 40.0 / decay_rate, 4001)
+    ratio = np.abs(np.asarray(evaluate(probe), dtype=float)) * np.exp(decay_rate * probe)
+    # the derived constant allows the ratio 1.25 times its probed peak; a
+    # ratio that still grows by more than that over the last quarter of the
+    # probe outgrows any constant read off it, and the rate is false
+    far = probe >= 30.0 / decay_rate
+    near_peak, far_peak = ratio[~far].max(), ratio[far].max()
+    if not far_peak <= _DECAY_MARGIN * near_peak:
+        raise ValueError(
+            "decay_rate %.6g is false: |nu(y)| exp(%.6g y) peaks at %.3g below "
+            "y = %.3g and at %.3g beyond"
+            % (decay_rate, decay_rate, near_peak, probe[far][0], far_peak)
+        )
     if decay_constant is None:
-        probe = np.linspace(1e-9, 40.0 / decay_rate, 4001)
-        ratio = np.abs(np.asarray(evaluate(probe), dtype=float)) * np.exp(decay_rate * probe)
-        decay_constant = float(ratio.max()) * 1.25 + 1e-300
+        decay_constant = float(ratio.max()) * _DECAY_MARGIN + 1e-300
     cert = DecayCertificate(decay_rate, decay_constant)
     breaks = tuple(float(s) for s in sign_changes)
     norm = adaptive_quad(

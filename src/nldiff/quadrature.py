@@ -1,19 +1,27 @@
 """Adaptive panel quadrature with certified treatment of infinite tails.
 
-The integrator drives a pair of Gauss rules (7 and 15 points) on a worklist
-of panels.  Each round evaluates every active panel in one vectorized call,
-freezes panels whose two-rule disagreement is already below their share of
-the error budget, and bisects the rest.  The two-rule gap is a conservative
-error estimate for the 15 point value, so the reported estimate is an upper
-bound in practice.
+`adaptive_quad_many` computes K integrals from one worklist of panels, each
+panel tagged with the integral it belongs to.  Each round evaluates a pair
+of Gauss rules (7 and 15 points) on every active panel with vectorized
+integrand calls, freezes panels whose two-rule disagreement is already
+below their integral's share of its error budget, and bisects the rest; an
+integral leaves the worklist as soon as it converges.  Per-integral sums
+are bincounts over the owner tags, so every integral meets exactly the
+rules it would meet alone and does exactly the evaluations it would do
+alone.  `adaptive_quad` is its one-integral case, so there is one
+refinement loop.  The two-rule gap is a conservative error estimate for
+the 15 point value, so the reported estimate is an upper bound in
+practice.
 
 Infinite endpoints are only accepted together with a decay certificate.  The
 certificate turns the improper integral into a finite one plus a rigorously
 bounded remainder; the remainder is charged to the error estimate, never to
-the value.
+the value.  In a batch every integral has its own truncation point, from its
+own tolerance and certificate.
 
-Integrands must be vectorized: they are called with a 1-d float array and
-must return an array of the same shape.
+Integrands must be vectorized: they are called with a 1-d float array (and,
+for `adaptive_quad_many`, the owner index of each point) and must return an
+array of the same shape.
 
 `versine_transform` integrates one integrand against 1 - cos(j pi x / R) for
 every mode j at once.  It uses the same 15 point rule on equal panels and
@@ -25,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -35,6 +43,7 @@ __all__ = [
     "DecayCertificate",
     "PowerDecayCertificate",
     "adaptive_quad",
+    "adaptive_quad_many",
     "versine_transform",
 ]
 
@@ -51,9 +60,11 @@ _VERSINE_PANEL_CAP = 1 << 20
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    # a float, or one value per mode from versine_transform
+    # a float from adaptive_quad, one value per integral from
+    # adaptive_quad_many, or one value per mode from versine_transform
     value: float | np.ndarray
-    abs_error_estimate: float
+    # per integral from adaptive_quad_many; the worst gap of versine_transform
+    abs_error_estimate: float | np.ndarray
     evaluations: int
     converged: bool = True
 
@@ -140,16 +151,240 @@ class PowerDecayCertificate:
         return PowerDecayCertificate(self.degree - degree, self.constant)
 
 
+Certificate = Union[DecayCertificate, PowerDecayCertificate]
+
+
+# integrand points per panel: the 15 point rule and the 7 point rule
+_POINTS = _T15.size + _T7.size
+# a round's panels go to the integrand in slices of at most this many, so
+# its temporaries stay near 180 KB each however many integrals share the
+# worklist; one call per round would scale them with the batch
+_SLICE_PANELS = 1024
+
+
 def _panel_values(
-    f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int]:
-    mid = 0.5 * (lo + hi)[:, None]
-    rad = 0.5 * (hi - lo)[:, None]
-    pts = np.concatenate([mid + rad * _T15, mid + rad * _T7], axis=1)
-    vals = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
-    coarse = (vals[:, 15:] @ _W7) * rad[:, 0]
-    fine = (vals[:, :15] @ _W15) * rad[:, 0]
-    return fine, np.abs(fine - coarse), pts.size
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    owner: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    fine = np.empty(lo.size)
+    gap = np.empty(lo.size)
+    for start in range(0, lo.size, _SLICE_PANELS):
+        part = slice(start, start + _SLICE_PANELS)
+        mid = 0.5 * (lo[part] + hi[part])[:, None]
+        rad = 0.5 * (hi[part] - lo[part])[:, None]
+        pts = np.concatenate([mid + rad * _T15, mid + rad * _T7], axis=1)
+        vals = np.asarray(f(pts.ravel(), owner[part].repeat(_POINTS)), dtype=float)
+        vals = vals.reshape(pts.shape)
+        fine[part] = (vals[:, :15] @ _W15) * rad[:, 0]
+        gap[part] = np.abs(fine[part] - (vals[:, 15:] @ _W7) * rad[:, 0])
+    return fine, gap
+
+
+def _ladder(
+    anchor: np.ndarray, direction: float, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Edges anchor + direction * max(|anchor|, 1) * 2**t strictly inside
+    (lo, hi), as (positions, row index)."""
+    if anchor.size == 0:
+        return np.empty(0), np.empty(0, dtype=int)
+    step = np.maximum(np.abs(anchor), 1.0)
+    rungs = int(np.log2(max(float(((hi - lo) / step).max()), 1.0))) + 2
+    edges = anchor[:, None] + direction * (step[:, None] * 2.0 ** np.arange(rungs))
+    inside = (lo[:, None] < edges) & (edges < hi[:, None])
+    return edges[inside], inside.nonzero()[0]
+
+
+def _initial_panels(
+    lo: np.ndarray,
+    hi: np.ndarray,
+    upper_cut: np.ndarray,
+    lower_cut: np.ndarray,
+    breakpoints: Sequence[float],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first panels of every integral, grouped by owner in ascending order.
+
+    Edges are the endpoints, the breakpoints strictly inside, and from each
+    truncated side a geometric ladder: a truncation point usually sits far
+    outside the integrand's own scale, and a single panel spanning it can
+    hide all of the mass between two rule nodes, so the ladder pins the
+    first panels to O(1) size and the refinement has something real to
+    bisect.  A truncated integral across 0 also gets an edge at 0.
+    """
+    count = lo.size
+    owners = np.arange(count)
+    bp = np.sort(np.asarray(breakpoints, dtype=float))
+    # breakpoints strictly inside (lo_i, hi_i) are bp[first_i : first_i + inner_i]
+    first = np.searchsorted(bp, lo, side="right")
+    inner = np.maximum(np.searchsorted(bp, hi, side="left") - first, 0)
+    bp_owner = owners.repeat(inner)
+    starts = inner.cumsum() - inner
+    bp_pos = bp[first[bp_owner] + np.arange(bp_owner.size) - starts[bp_owner]]
+
+    up = upper_cut.nonzero()[0]
+    up_pos, up_row = _ladder(np.maximum(lo[up], 0.0), 1.0, lo[up], hi[up])
+    down = lower_cut.nonzero()[0]
+    down_pos, down_row = _ladder(np.minimum(hi[down], 0.0), -1.0, lo[down], hi[down])
+    zero = ((upper_cut | lower_cut) & (lo < 0.0) & (hi > 0.0)).nonzero()[0]
+
+    pos = np.concatenate([lo, hi, bp_pos, up_pos, down_pos, np.zeros(zero.size)])
+    own = np.concatenate([owners, owners, bp_owner, up[up_row], down[down_row], zero])
+    order = np.lexsort((pos, own))
+    pos, own = pos[order], own[order]
+    fresh = np.ones(pos.size, dtype=bool)
+    fresh[1:] = (own[1:] != own[:-1]) | (pos[1:] != pos[:-1])
+    pos, own = pos[fresh], own[fresh]
+    same = own[1:] == own[:-1]
+    return pos[:-1][same], pos[1:][same], own[:-1][same]
+
+
+def adaptive_quad_many(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    lower: Sequence[float] | np.ndarray,
+    upper: Sequence[float] | np.ndarray,
+    tol: float | Sequence[float] | np.ndarray,
+    *,
+    rel: float = 0.0,
+    decay: Certificate | Sequence[Certificate | None] | None = None,
+    breakpoints: Sequence[float] = (),
+    max_rounds: int = 64,
+    panel_cap: int = 1 << 17,
+) -> QuadratureResult:
+    """Integrate ``f`` over K intervals [lower_i, upper_i] from one worklist.
+
+    The panels of all integrals share one worklist, each tagged with the
+    index of its integral.  Each round evaluates the 22 rule points of every
+    active panel by calls ``f(y, owner)``, one per slice of at most
+    _SLICE_PANELS panels, ``owner[p]`` being the integral that point
+    ``y[p]`` belongs to.  Every integral follows the rules of
+    `adaptive_quad` on its own: its own goal max(tol_i, rel |value_i|,
+    64 eps l1_i), its own per-panel share of it, its own truncation point
+    and certified tail from its own certificate, its own edge ladder, its
+    own panel cap and round count.  ``tol`` and ``decay`` are one value for
+    all integrals or one per integral; ``breakpoints`` are shared and seed
+    edges inside every interval that contains them.  An integral leaves the
+    worklist once it converges, so each does exactly the evaluations it
+    would do alone.
+
+    Returns value and abs_error_estimate as arrays of K entries and the
+    total evaluation count.  Raises QuadratureError once any integral runs
+    out of rounds or panels, after the others finished; it carries every
+    best estimate, converged or not.
+    """
+    lower = np.array(lower, dtype=float)
+    if lower.ndim != 1:
+        raise ValueError("adaptive_quad_many needs a one-dimensional array of lower endpoints")
+    upper = np.full(lower.shape, upper, dtype=float)
+    tol = np.full(lower.shape, tol, dtype=float)
+    if (tol < 0).any() or rel < 0:
+        raise ValueError("tolerances must be nonnegative")
+    if (upper == -math.inf).any():
+        raise ValueError("upper endpoint is -inf")
+    if (lower == math.inf).any():
+        raise ValueError("lower endpoint is +inf")
+    count = lower.size
+    single = decay is None or hasattr(decay, "truncation_point")
+    if not single and len(decay) != count:
+        raise ValueError(
+            "need one decay certificate per integral, got %d for %d" % (len(decay), count)
+        )
+
+    upper_cut, lower_cut = np.isinf(upper), np.isinf(lower)
+    tail = np.zeros(count)
+    budget = np.where(tol > 0.0, tol, 1e-15) / 10.0
+    truncations: dict = {}
+    for i in (upper_cut | lower_cut).nonzero()[0]:
+        cert = decay if single else decay[i]
+        if cert is None:
+            raise ValueError("an infinite endpoint requires a decay certificate")
+        key = (cert, budget[i])
+        if key not in truncations:
+            point = cert.truncation_point(budget[i])
+            truncations[key] = (point, cert.tail_bound(point))
+        point, bound = truncations[key]
+        if upper_cut[i]:
+            upper[i] = point
+            tail[i] += bound
+        if lower_cut[i]:
+            lower[i] = -point
+            tail[i] += bound
+    if not (lower <= upper).all():
+        raise ValueError("lower endpoint must not exceed upper endpoint")
+
+    lo, hi, owner = _initial_panels(lower, upper, upper_cut, lower_cut, breakpoints)
+    # running sums of the panels each integral has frozen; an empty interval
+    # is finished before the first round with value 0 and its tail as error
+    frozen_value = np.zeros(count)
+    frozen_error = tail.copy()
+    frozen_l1 = np.zeros(count)
+    frozen_count = np.zeros(count, dtype=int)
+    evaluations = 0
+    value = np.zeros(count)
+    error = tail.copy()
+    live = lower < upper
+    converged = np.ones(count, dtype=bool)
+    # an exhausted integral gets one last evaluation for its best estimate
+    exhausted = live & (max_rounds <= 0)
+
+    panels = np.bincount(owner, minlength=count)
+    for round_ in range(max(max_rounds, 0) + 1):
+        if not live.any():
+            break
+        fine, gap = _panel_values(f, lo, hi, owner)
+        evaluations += _POINTS * lo.size
+        size = np.abs(fine)
+        total = frozen_value + np.bincount(owner, fine, count)
+        spread = frozen_error + np.bincount(owner, gap, count)
+        l1 = frozen_l1 + np.bincount(owner, size, count)
+        goal = np.maximum(np.maximum(tol, rel * np.abs(total)), 64.0 * _EPS * l1)
+
+        done = live & (exhausted | (spread <= goal))
+        np.copyto(value, total, where=done)
+        np.copyto(error, spread, where=done)
+        converged &= ~(done & exhausted)
+        live &= ~done
+
+        share = goal / (2.0 * (panels + frozen_count + 1))
+        refining = live[owner]
+        settled = refining & (gap <= share[owner])
+        held = owner[settled]
+        frozen_value += np.bincount(held, fine[settled], count)
+        frozen_error += np.bincount(held, gap[settled], count)
+        frozen_l1 += np.bincount(held, size[settled], count)
+        frozen_count += np.bincount(held, minlength=count)
+
+        split = refining & ~settled
+        lo, hi, owner = lo[split], hi[split], owner[split]
+        mid = 0.5 * (lo + hi)
+        lo = np.concatenate([lo, mid])
+        hi = np.concatenate([mid, hi])
+        owner = np.concatenate([owner, owner])
+        panels = np.bincount(owner, minlength=count)
+        exhausted |= live & (panels > panel_cap)
+        if round_ + 1 >= max_rounds:
+            exhausted |= live
+
+    result = QuadratureResult(value, error, evaluations, bool(converged.all()))
+    if not result.converged:
+        failed = np.flatnonzero(~converged)
+        worst = failed[np.argmax(error[failed])]
+        raise QuadratureError(
+            "quadrature did not reach tol=%.3g on %d of %d integrals (integral %d: "
+            "best estimate %.3g +- %.3g)"
+            % (tol[worst], failed.size, count, worst, value[worst], error[worst]),
+            result,
+        )
+    return result
+
+
+def _first(batch: QuadratureResult) -> QuadratureResult:
+    return QuadratureResult(
+        float(batch.value[0]),
+        float(batch.abs_error_estimate[0]),
+        batch.evaluations,
+        batch.converged,
+    )
 
 
 def adaptive_quad(
@@ -159,7 +394,7 @@ def adaptive_quad(
     tol: float,
     *,
     rel: float = 0.0,
-    decay: DecayCertificate | PowerDecayCertificate | None = None,
+    decay: Certificate | None = None,
     breakpoints: Sequence[float] = (),
     max_rounds: int = 64,
     panel_cap: int = 1 << 17,
@@ -172,107 +407,27 @@ def adaptive_quad(
     oscillation nodes.  ``rel`` adds a relative convergence criterion on top
     of the absolute one; the integrator also stops once the two-rule gap
     falls to the rounding floor of the accumulated values, so ``tol=0``
-    means "as accurate as float64 allows".
+    means "as accurate as float64 allows".  This is the one-integral case of
+    `adaptive_quad_many`.
 
     Raises QuadratureError (carrying the best estimate) if the panel budget
     runs out first.
     """
-    if tol < 0 or rel < 0:
-        raise ValueError("tolerances must be nonnegative")
-
-    tail_err = 0.0
-    lo_f, hi_f = float(lower), float(upper)
-    budget = (tol if tol > 0.0 else 1e-15) / 10.0
-    truncated: list[float] = []
-    if math.isinf(hi_f):
-        if hi_f < 0:
-            raise ValueError("upper endpoint is -inf")
-        if decay is None:
-            raise ValueError("infinite upper endpoint requires a decay certificate")
-        hi_f = decay.truncation_point(budget)
-        tail_err += decay.tail_bound(hi_f)
-        truncated.append(1.0)
-    if math.isinf(lo_f):
-        if lo_f > 0:
-            raise ValueError("lower endpoint is +inf")
-        if decay is None:
-            raise ValueError("infinite lower endpoint requires a decay certificate")
-        lo_f = -decay.truncation_point(budget)
-        tail_err += decay.tail_bound(-lo_f)
-        truncated.append(-1.0)
-    if not (lo_f < hi_f):
-        if lo_f == hi_f:
-            return QuadratureResult(0.0, tail_err, 0)
-        raise ValueError("lower endpoint must not exceed upper endpoint")
-
-    # a truncation point usually sits far outside the integrand's own scale,
-    # and a single panel spanning it can hide all of the mass between two
-    # rule nodes; a geometric edge ladder pins the first panels to O(1) size
-    # so the refinement loop has something real to bisect
-    seeded: set[float] = set()
-    for direction in truncated:
-        anchor = max(lo_f, 0.0) if direction > 0 else min(hi_f, 0.0)
-        if lo_f < 0.0 < hi_f:
-            seeded.add(0.0)
-        step = max(abs(anchor), 1.0)
-        edge = anchor + direction * step
-        while lo_f < edge < hi_f:
-            seeded.add(edge)
-            step *= 2.0
-            edge = anchor + direction * step
-
-    edges = [lo_f]
-    for p in sorted(set(float(b) for b in breakpoints) | seeded):
-        if lo_f < p < hi_f:
-            edges.append(p)
-    edges.append(hi_f)
-    lo = np.asarray(edges[:-1], dtype=float)
-    hi = np.asarray(edges[1:], dtype=float)
-
-    frozen_value = 0.0
-    frozen_error = tail_err
-    frozen_l1 = 0.0
-    frozen_count = 0
-    evaluations = 0
-
-    for _ in range(max_rounds):
-        fine, gap, used = _panel_values(f, lo, hi)
-        evaluations += used
-
-        value = frozen_value + float(fine.sum())
-        error = frozen_error + float(gap.sum())
-        l1 = frozen_l1 + float(np.abs(fine).sum())
-        goal = max(tol, rel * abs(value), 64.0 * _EPS * l1)
-        if error <= goal:
-            return QuadratureResult(value, error, evaluations)
-
-        share = goal / (2.0 * (lo.size + frozen_count + 1))
-        settled = gap <= share
-        frozen_value += float(fine[settled].sum())
-        frozen_error += float(gap[settled].sum())
-        frozen_l1 += float(np.abs(fine[settled]).sum())
-        frozen_count += int(settled.sum())
-
-        lo, hi = lo[~settled], hi[~settled]
-        mid = 0.5 * (lo + hi)
-        lo = np.concatenate([lo, mid])
-        hi = np.concatenate([mid, hi])
-        if lo.size > panel_cap:
-            break
-
-    fine, gap, used = _panel_values(f, lo, hi)
-    evaluations += used
-    best = QuadratureResult(
-        frozen_value + float(fine.sum()),
-        frozen_error + float(gap.sum()),
-        evaluations,
-        converged=False,
-    )
-    raise QuadratureError(
-        "quadrature did not reach tol=%.3g (best estimate %.3g +- %.3g)"
-        % (tol, best.value, best.abs_error_estimate),
-        best,
-    )
+    try:
+        batch = adaptive_quad_many(
+            lambda y, owner: f(y),
+            [lower],
+            [upper],
+            tol,
+            rel=rel,
+            decay=decay,
+            breakpoints=breakpoints,
+            max_rounds=max_rounds,
+            panel_cap=panel_cap,
+        )
+    except QuadratureError as exc:
+        raise QuadratureError(str(exc), _first(exc.result)) from None
+    return _first(batch)
 
 
 def _versine_panels(

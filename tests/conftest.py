@@ -1,3 +1,6 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
 # outcome per release criterion, filled by the acceptance marker hook
@@ -26,3 +29,21 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for num in sorted(_ACCEPTANCE):
         title, state = _ACCEPTANCE[num]
         terminalreporter.write_line("criterion %d: %s  (%s)" % (num, state, title))
+
+
+@pytest.fixture
+def counted():
+    """kernel -> (the same kernel counting the points it is evaluated at,
+    a one-element list holding the count)."""
+
+    def wrap(kernel):
+        count = [0]
+        evaluate = kernel.evaluate
+
+        def counting(y):
+            count[0] += np.asarray(y).size
+            return evaluate(y)
+
+        return dataclasses.replace(kernel, evaluate=counting), count
+
+    return wrap

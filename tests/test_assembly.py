@@ -19,6 +19,7 @@ from nldiff.assembly import (
     RealLineProblem,
     assemble,
     assemble_dirichlet,
+    _dirichlet_boundary,
     assemble_realline,
     dirichlet_boundary_term,
     neumann_to_realline,
@@ -28,6 +29,7 @@ from nldiff.grids import build_grid, compute_weights
 from nldiff.harness import mixed_boundary, mixed_forcing, sech_boundary, sech_forcing
 from nldiff.kernels import SignClass, build_kernel, laplace_kernel, mixed_exponential_kernel
 from nldiff.expint import exp_int
+from nldiff.quadrature import adaptive_quad
 
 
 def sech(x):
@@ -77,6 +79,21 @@ class TestDirichletBoundaryTerm:
         grid = build_grid(5.0, 64)
         for i, want in FROZEN_B[name].items():
             assert dirichlet_boundary_term(problem, grid, i) == pytest.approx(want, rel=1e-9)
+
+    def test_assembly_route_is_one_batch(self, counted):
+        # the reference is the one-node case, once per unknown
+        kernel, count = counted(laplace_kernel())
+        problem = make_sech_problem(kernel, None)
+        grid = build_grid(10.0, 400)
+        weights = compute_weights(kernel, grid)
+        count[0] = 0
+        assemble_dirichlet(problem, grid, weights)
+        assert count[0] == 83864
+        count[0] = 0
+        loop = np.array([dirichlet_boundary_term(problem, grid, i) for i in range(-199, 200)])
+        assert count[0] == 83864
+        batch = _dirichlet_boundary(problem, grid, grid.spacing * np.arange(-199, 200))
+        np.testing.assert_allclose(batch, loop, rtol=1e-14, atol=0.0)
 
     def test_even_in_node_index(self):
         problem = make_sech_problem(laplace_kernel(), sech_boundary)
@@ -226,6 +243,33 @@ class TestRealLineBoundaryTerms:
         closed, _ = realline_boundary_terms(laplace_kernel(), grid, decay, method="closed")
         quad, _ = realline_boundary_terms(laplace_kernel(), grid, decay, method="quadrature")
         np.testing.assert_allclose(quad, closed, rtol=1e-9)
+
+    def test_quadrature_route_is_one_batch(self, counted):
+        # the reference is one adaptive quadrature per node
+        kernel, count = counted(laplace_kernel())
+        grid = build_grid(10.0, 400)
+        b1, _ = realline_boundary_terms(kernel, grid, DecayModel(2.0), method="quadrature")
+        assert count[0] == 105864
+        count[0] = 0
+        radius = grid.weight_radius
+        cert = kernel.decay().times_power(-2.0, radius - grid.half_width)
+        tol = 1e-12 * cert.tail_bound(radius)
+        loop = np.array(
+            [
+                10.0 ** 2
+                * adaptive_quad(
+                    lambda s: np.abs(center + s) ** -2.0 * kernel.evaluate(s),
+                    radius,
+                    math.inf,
+                    tol,
+                    rel=1e-12,
+                    decay=cert,
+                ).value
+                for center in grid.spacing * np.arange(-200, 201)
+            ]
+        )
+        assert count[0] == 105864
+        np.testing.assert_allclose(b1, loop, rtol=1e-14, atol=0.0)
 
     def test_quadrature_route_touches_no_closed_form(self):
         def boom(*args):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from nldiff.cli import main
-from nldiff.quadrature import adaptive_quad
+from nldiff.quadrature import adaptive_quad, adaptive_quad_many
 
 
 def parse_kv(text):
@@ -229,6 +229,23 @@ class TestFailureExitCodes:
         err = captured.err.strip()
         assert "\n" not in err
         assert "did not reach" in err and "best estimate" in err
+
+    def test_batched_quadrature_exhaustion(self, capsys, monkeypatch):
+        # building the registry audits the closed sech boundary terms against
+        # the batched boundary quadrature
+        monkeypatch.setattr(importlib.import_module("nldiff.harness"), "_REGISTRY", None)
+        monkeypatch.setattr(
+            importlib.import_module("nldiff.assembly"),
+            "adaptive_quad_many",
+            functools.partial(adaptive_quad_many, max_rounds=1),
+        )
+        code = main(["solve", "--problem", "dirichlet-sech", "--L", "5", "--M", "64"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert "\n" not in err
+        assert "did not reach" in err and "of 2 integrals" in err and "best estimate" in err
 
     def test_symbol_table_exhaustion(self, capsys, monkeypatch):
         # a cap at the first table leaves no second resolution to compare

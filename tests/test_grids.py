@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nldiff.grids import build_grid, compute_weights, hat_tail_integral
+from nldiff.grids import _hat_integrals, build_grid, compute_weights, hat_tail_integral
 from nldiff.kernels import laplace_kernel, mixed_exponential_kernel, moment_f
 from nldiff.quadrature import adaptive_quad
 
@@ -144,6 +144,29 @@ class TestWeights:
                 nz = closed != 0.0
                 gaps = np.abs(closed[nz] - quad[nz]) / np.abs(closed[nz])
                 assert gaps.max() <= rtol
+
+    def test_quadrature_route_is_one_batch(self, mixed, counted):
+        # the reference is one adaptive quadrature per hat
+        kernel, count = counted(mixed.without_closed_forms())
+        grid = build_grid(10.0, 1600)
+        m, h = grid.steps, grid.spacing
+        nodes = np.arange(1, m + 1)
+        batch = _hat_integrals(kernel, grid, nodes)
+        assert count[0] == 70444
+        count[0] = 0
+        loop = np.empty(m)
+        for r, node in enumerate(nodes):
+            center = h * node
+            lo = h * (node if node == 1 else node - 1)
+            hi = h * (node if node == m else node + 1)
+
+            def integrand(y, center=center):
+                return np.clip(1.0 - np.abs(y - center) / h, 0.0, None) * kernel.evaluate(y)
+
+            breaks = (center,) if lo < center < hi else ()
+            loop[r] = adaptive_quad(integrand, lo, hi, 0.0, rel=1e-13, breakpoints=breaks).value
+        assert count[0] == 70444
+        np.testing.assert_allclose(batch, loop, rtol=1e-14, atol=0.0)
 
     def test_quadrature_route_touches_no_closed_form(self, laplace):
         def boom(*args):

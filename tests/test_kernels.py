@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nldiff.harness import registry
 from nldiff.kernels import (
     SignClass,
     build_kernel,
@@ -205,6 +206,36 @@ def test_build_kernel_derives_decay_constant():
     )
     assert k.decay_constant >= 0.5
     assert k.decay_constant <= 2.0
+
+
+def test_build_kernel_rejects_a_false_decay_rate():
+    # e^{-|y|/2} / 4 declared at rate 1: the probe ratio grows like e^{y/2},
+    # and the constant read off it (1.5e8) would still fail beyond the probe
+    with pytest.raises(ValueError, match="decay_rate 1 is false"):
+        build_kernel(
+            lambda y: 0.25 * np.exp(-np.abs(y) / 2.0),
+            decay_rate=1.0,
+            sign_class=SignClass.NONNEGATIVE,
+        )
+    honest = build_kernel(
+        lambda y: 0.25 * np.exp(-np.abs(y) / 2.0), decay_rate=0.5, sign_class=SignClass.NONNEGATIVE
+    )
+    assert abs(honest.norm_l1 - 1.0) <= 1e-12
+
+
+def test_true_decay_rates_still_build():
+    kernels = [laplace_kernel(), mixed_exponential_kernel()]
+    kernels += [entry.build(10.0).problem.kernel for entry in registry().values()]
+    for kernel in kernels:
+        for constant in (kernel.decay_constant, None):
+            rebuilt = build_kernel(
+                kernel.evaluate,
+                decay_rate=kernel.decay_rate,
+                decay_constant=constant,
+                sign_class=kernel.sign_class,
+                sign_changes=kernel.sign_changes,
+            )
+            assert abs(rebuilt.norm_l1 - kernel.norm_l1) <= 1e-11
 
 
 def test_eval_kernel_shapes(laplace):

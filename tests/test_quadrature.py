@@ -17,6 +17,7 @@ from nldiff.quadrature import (
     PowerDecayCertificate,
     QuadratureError,
     adaptive_quad,
+    adaptive_quad_many,
     versine_transform,
 )
 
@@ -120,6 +121,49 @@ def test_non_convergence_carries_best_estimate():
     assert best.evaluations > 0
 
 
+def _oscillatory_exact(a, t):
+    # int_0^t e^(-x) cos(a x) dx
+    return (1.0 + math.exp(-t) * (a * math.sin(a * t) - math.cos(a * t))) / (1.0 + a * a)
+
+
+@pytest.mark.parametrize(
+    "integrand, lower, upper, tol, kwargs, exact, evaluations",
+    [
+        # a ladder from 0 towards the truncation point
+        (lambda y: np.exp(-y) * (1.0 + 0.3 * np.cos(3.0 * y)), 0.0, math.inf, 1e-12,
+         {"decay": DecayCertificate(1.0, 1.3)}, 1.03, 748),
+        # ladders both ways and an edge at 0
+        (lambda y: np.exp(-np.abs(y - 0.5)), -math.inf, math.inf, 1e-11,
+         {"decay": DecayCertificate(1.0, math.exp(0.5))}, 2.0, 440),
+        # a ladder down from 0 and an edge at 0 from the lower cut alone
+        (lambda y: np.exp(-np.abs(y)), -math.inf, 1.0, 1e-12,
+         {"decay": DecayCertificate(1.0, 1.0)}, 2.0 - math.exp(-1.0), 286),
+        # many rounds of freezing and bisecting
+        (lambda x: np.cos(40.0 * x) * np.exp(-x), 0.0, 10.0, 1e-12, {},
+         _oscillatory_exact(40.0, 10.0), 5434),
+        (lambda y: np.exp(-np.abs(y)), -1.0, 1.0, 1e-13, {"breakpoints": (0.0,)},
+         2.0 * (1.0 - math.exp(-1.0)), 44),
+    ],
+)
+def test_refinement_rules_pin_evaluation_counts(
+    integrand, lower, upper, tol, kwargs, exact, evaluations
+):
+    # the counts follow from the share, freezing, ladder and breakpoint rules
+    r = adaptive_quad(integrand, lower, upper, tol, **kwargs)
+    assert abs(r.value - exact) <= 10.0 * tol
+    assert r.evaluations == evaluations
+
+
+def test_many_abutting_intervals():
+    # an edge shared by neighbouring integrals belongs to both
+    batch = adaptive_quad_many(
+        lambda y, owner: np.exp(-y), [0.0, 1.0, 2.0], [1.0, 2.0, 3.0], 1e-13
+    )
+    alone = [adaptive_quad(lambda y: np.exp(-y), a, a + 1.0, 1e-13) for a in (0.0, 1.0, 2.0)]
+    np.testing.assert_allclose(batch.value, [r.value for r in alone], rtol=1e-14)
+    assert batch.evaluations == sum(r.evaluations for r in alone)
+
+
 def test_certificate_tail_bounds():
     cert = DecayCertificate(rate=2.0, constant=3.0)
     # integral of 3 e^(-2y) from 5 on
@@ -194,3 +238,115 @@ def test_versine_transform_cap_carries_best_table(monkeypatch):
     assert best.value.shape == (65,)
     assert 1e-10 < best.abs_error_estimate < math.inf
     assert best.evaluations == 15 * (64 + 128 + 256)
+
+
+_INTERVAL = st.tuples(
+    st.sampled_from(["finite", "upper", "lower", "both"]),
+    st.floats(min_value=-4.0, max_value=4.0),
+    st.floats(min_value=0.05, max_value=12.0),
+    st.floats(min_value=0.3, max_value=3.0),
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.floats(min_value=-14.0, max_value=-6.0),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(_INTERVAL, min_size=1, max_size=6),
+    st.sampled_from([0.0, 1e-12]),
+    st.lists(st.floats(min_value=-6.0, max_value=6.0), max_size=3),
+)
+def test_many_matches_one_at_a_time(intervals, rel, breakpoints):
+    # integrand i: e^(-rate_i |y - shift_i|) (1 + 0.3 cos 3y), bounded by
+    # 1.3 e^(rate_i |shift_i|) e^(-rate_i |y|), with its own certificate
+    lower, upper, tols, certs, rates, shifts = [], [], [], [], [], []
+    for kind, start, width, rate, shift, log_tol in intervals:
+        lower.append(-math.inf if kind in ("lower", "both") else start)
+        upper.append(
+            math.inf if kind in ("upper", "both") else start + width if kind == "finite" else start
+        )
+        tols.append(10.0 ** log_tol)
+        certs.append(DecayCertificate(rate, 1.3 * math.exp(rate * abs(shift))))
+        rates.append(rate)
+        shifts.append(shift)
+    rates, shifts = np.array(rates), np.array(shifts)
+
+    def f(y, owner):
+        return np.exp(-rates[owner] * np.abs(y - shifts[owner])) * (1.0 + 0.3 * np.cos(3.0 * y))
+
+    batch = adaptive_quad_many(
+        f, lower, upper, tols, rel=rel, decay=certs, breakpoints=breakpoints
+    )
+    alone = [
+        adaptive_quad(
+            lambda y, i=i: f(y, np.full(y.shape, i)),
+            lower[i],
+            upper[i],
+            tols[i],
+            rel=rel,
+            decay=certs[i],
+            breakpoints=breakpoints,
+        )
+        for i in range(len(intervals))
+    ]
+    want = np.array([r.value for r in alone])
+    np.testing.assert_allclose(batch.value, want, rtol=1e-14, atol=0.0)
+    # a gap between the two rules can sit at the rounding level, where a
+    # matrix product row rounds by its place in the batch
+    gaps = np.abs(batch.abs_error_estimate - [r.abs_error_estimate for r in alone])
+    assert np.all(gaps <= 1e-14 * np.abs(want))
+    assert batch.evaluations == sum(r.evaluations for r in alone)
+    assert batch.converged
+
+
+def test_many_exhaustion_carries_every_best_estimate():
+    def f(y, owner):
+        return np.where(owner == 1, np.cos(1000.0 * y), np.exp(-y))
+
+    with pytest.raises(QuadratureError, match="on 1 of 3 integrals") as info:
+        adaptive_quad_many(f, [0.0, 0.0, 0.0], [1.0, 300.0, 2.0], 1e-14, max_rounds=3)
+    best = info.value.result
+    assert not best.converged
+    assert best.value.shape == best.abs_error_estimate.shape == (3,)
+    # the two that converge keep their own answers, the third its best one
+    for i, upper in ((0, 1.0), (2, 2.0)):
+        alone = adaptive_quad(lambda y: np.exp(-y), 0.0, upper, 1e-14).value
+        assert abs(best.value[i] - alone) <= 1e-15 * alone
+        assert abs(alone - -math.expm1(-upper)) <= 1e-14
+    assert best.abs_error_estimate[1] > 1e-14
+    with pytest.raises(QuadratureError) as solo:
+        adaptive_quad(lambda y: np.cos(1000.0 * y), 0.0, 300.0, 1e-14, max_rounds=3)
+    assert abs(best.value[1] - solo.value.result.value) <= 1e-14
+    assert best.evaluations == (
+        adaptive_quad(lambda y: np.exp(-y), 0.0, 1.0, 1e-14).evaluations
+        + adaptive_quad(lambda y: np.exp(-y), 0.0, 2.0, 1e-14).evaluations
+        + solo.value.result.evaluations
+    )
+
+
+def test_many_panel_cap_is_per_integral():
+    # integral 1 alone outgrows a cap of 8 panels; integral 0 never does
+    def f(y, owner):
+        return np.where(owner == 1, np.cos(1000.0 * y), np.exp(-y))
+
+    with pytest.raises(QuadratureError, match="on 1 of 2 integrals") as info:
+        adaptive_quad_many(f, [0.0, 0.0], [1.0, 300.0], 1e-14, panel_cap=8)
+    alone = adaptive_quad(lambda y: np.exp(-y), 0.0, 1.0, 1e-14).value
+    assert abs(info.value.result.value[0] - alone) <= 1e-15 * alone
+
+
+def test_many_empty_interval_and_bad_input():
+    r = adaptive_quad_many(lambda y, owner: np.ones_like(y), [1.0, 0.0], [1.0, 2.0], 1e-12)
+    np.testing.assert_allclose(r.value, [0.0, 2.0], atol=1e-14)
+    with pytest.raises(ValueError, match="one decay certificate per integral"):
+        adaptive_quad_many(
+            lambda y, owner: np.exp(-y), [0.0, 0.0], math.inf, 1e-10,
+            decay=[DecayCertificate(1.0, 1.0)],
+        )
+    with pytest.raises(ValueError, match="requires a decay certificate"):
+        adaptive_quad_many(
+            lambda y, owner: np.exp(-y), [0.0, 0.0], [1.0, math.inf], 1e-10,
+            decay=[DecayCertificate(1.0, 1.0), None],
+        )
+    with pytest.raises(ValueError, match="must not exceed"):
+        adaptive_quad_many(lambda y, owner: y, [0.0, 2.0], [1.0, 1.0], 1e-10)

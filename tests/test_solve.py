@@ -34,7 +34,14 @@ from nldiff.kernels import (
 )
 from nldiff.operator import MAX_DENSE_SIZE, StructuredOperator
 from nldiff.quadrature import _versine_panels, adaptive_quad
-from nldiff.solve import SolveError, Solution, evaluate_solution, solve, stability_report
+from nldiff.solve import (
+    SolveError,
+    Solution,
+    _circulant_preconditioner,
+    evaluate_solution,
+    solve,
+    stability_report,
+)
 
 
 def sech(x):
@@ -105,6 +112,19 @@ class TestStructuredRoute:
     def test_unknown_method(self, sech_system):
         with pytest.raises(ValueError):
             solve(sech_system, method="lu")
+
+    @pytest.mark.parametrize("size", [129, 1601, 2049, 3199])
+    def test_preconditioner_matches_length_n_circulant_solve(self, size):
+        # the mixed kernel's core, whose circulant is positive definite
+        # while its column changes sign
+        case = registry()["dirichlet-mixed-kernel"].build(10.0)
+        operator = assemble(case.problem, build_grid(10.0, size + 1)).operator
+        assert operator.size == size
+        eigenvalues = operator.circulant_eigenvalues()
+        rhs = np.random.default_rng(size).standard_normal((3, size))
+        want = np.fft.irfft(np.fft.rfft(rhs, axis=-1) / eigenvalues, size, axis=-1)
+        got = _circulant_preconditioner(operator, eigenvalues)(rhs)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_solve_toeplitz_oracle(self):
         from scipy.linalg import solve_toeplitz
