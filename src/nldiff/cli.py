@@ -90,6 +90,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0 if result.passed else 1
 
 
+def _or_nan(value: float | None) -> str:
+    return "nan" if value is None else format(value, ".17g")
+
+
 def _cmd_stability(args: argparse.Namespace) -> int:
     entry = _lookup(args.problem)
     case = entry.build(args.L)
@@ -98,18 +102,9 @@ def _cmd_stability(args: argparse.Namespace) -> int:
     report = stability_report(system)
     print("variant=%s" % system.variant)
     print("stable=%s" % ("true" if report.stable else "false"))
-    print(
-        "min_eigenvalue=%s"
-        % ("nan" if report.min_eigenvalue is None else format(report.min_eigenvalue, ".17g"))
-    )
-    print(
-        "contraction_norm=%s"
-        % (
-            "nan"
-            if report.contraction_norm is None
-            else format(report.contraction_norm, ".17g")
-        )
-    )
+    print("min_eigenvalue=%s" % _or_nan(report.min_eigenvalue))
+    print("min_eigenvalue_lower=%s" % _or_nan(report.min_eigenvalue_lower))
+    print("contraction_norm=%s" % _or_nan(report.contraction_norm))
     print("symbol_min=%.17g" % float(np.min(report.symbol_values)))
     print("symbol_lower_bound=%.17g" % report.symbol_lower_bound)
     print("symbol_error=%.17g" % report.symbol_error_estimate)

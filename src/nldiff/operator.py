@@ -14,14 +14,21 @@ unknowns.
 The operator never stores an n x n array.  Products go through a circulant
 embedding of T and numpy's real FFT, padded to a 5-smooth length, in
 O(n log n); the row-sum infinity norm follows from prefix sums in O(n).
-`dense()` materialises the matrix for the dense LU oracle, and
-`core_min_eigenvalue()` splits the symmetric core into its even and odd
-halves for two eigvalsh calls of half the size; both refuse beyond
-MAX_DENSE_SIZE unknowns before allocating anything.
+`dense()` materialises the matrix for the dense LU oracle and refuses
+beyond MAX_DENSE_SIZE unknowns before allocating anything.
+
+The smallest eigenvalue of T, the Dirichlet stability certificate, comes
+as a bracket in O(n) memory (`core_eigenvalue_bracket`): Lanczos on the
+FFT matvec finds a Ritz value theta >= lambda_min, and one Durbin
+recursion on T - sI (`core_is_definite`, O(n^2) time) certifies
+lambda_min >= s just below theta.  If Durbin rejects s, the same test
+bisects.  The certificate keeps the MAX_DENSE_SIZE limit, now for its
+O(n^2) time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,8 +36,18 @@ import numpy as np
 __all__ = ["MAX_DENSE_SIZE", "StructuredOperator", "fast_length", "convolve"]
 
 # 8192^2 float64 entries are 512 MiB; beyond that a dense oracle is a
-# mistake, not a check
+# mistake, not a check.  The stability certificate, O(n^2) time in O(n)
+# memory, keeps the same limit.
 MAX_DENSE_SIZE = 8192
+
+_EPS = float(np.finfo(float).eps)
+# Lanczos basis vectors kept at most: 40 x 8 bytes per unknown
+_LANCZOS_STEPS = 40
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Lanczos stops once the Ritz residual is this small against ||T||
+_RITZ_TOL = 1e-13
+# c in the margin c n eps ||T|| that keeps Durbin's shift clear of rounding
+_DURBIN_ROUNDING = 4.0
 
 
 def fast_length(size: int) -> int:
@@ -55,6 +72,15 @@ def _toeplitz_view(column: np.ndarray) -> np.ndarray:
     # line[p] = c_{|p - (n-1)|}, so its window starting at n-1-i is row i
     line = np.concatenate((column[::-1], column[1:]))
     return np.lib.stride_tricks.sliding_window_view(line, n)[::-1]
+
+
+def _core_row_sums(mag: np.ndarray) -> np.ndarray:
+    """Row sums of the symmetric Toeplitz matrix with first column mag."""
+    n = mag.size
+    prefix = np.cumsum(mag)
+    rows = np.arange(n)
+    # row i holds c_{|i - j|}: c_0 once, then c_1.. on both sides
+    return prefix[rows] + prefix[n - 1 - rows] - mag[0]
 
 
 def convolve(kernel: np.ndarray, data: np.ndarray) -> np.ndarray:
@@ -124,12 +150,8 @@ class StructuredOperator:
 
     def norm_inf(self) -> float:
         """Row-sum infinity norm ||N||_inf in O(n)."""
-        n = self.size
         mag = np.abs(self.column)
-        prefix = np.cumsum(mag)
-        rows = np.arange(n)
-        # row i of T holds c_{|i - j|}: c_0 once, then c_1.. on both sides
-        sums = prefix[rows] + prefix[n - 1 - rows] - mag[0]
+        sums = _core_row_sums(mag)
         if self.rank:
             sums += np.abs(self.column - self.boundary[:, 0]) - mag
             flipped = self.column[::-1]
@@ -157,27 +179,117 @@ class StructuredOperator:
                 "%.1f GB); use the structured solve" % (n, n, MAX_DENSE_SIZE, 8e-9 * n * n)
             )
 
-    def core_min_eigenvalue(self) -> float:
-        """Smallest eigenvalue of the Toeplitz core T, by two half-size eigvalsh.
+    def core_is_definite(self, shift: float) -> bool:
+        """Whether T - shift I is positive definite, by one Durbin recursion.
 
-        T is centrosymmetric (J T J = T, J the exchange matrix).  With
-        m = n // 2, A the leading m x m block of T and H[i, j] = c[n-1-i-j]
-        its top right block times J, T is orthogonally similar to the odd
-        block A - H plus the even block A + H, which for odd n is bordered
-        by sqrt(2) times the centre column above the diagonal and by c_0.
-        Refuses beyond MAX_DENSE_SIZE unknowns, like dense().
+        With t_0 = c_0 - shift and r_k = c_k / t_0, the recursion solves the
+        Yule-Walker systems of every leading section in O(n^2) time and O(n)
+        memory.  T - shift I is positive definite exactly when t_0 > 0 and
+        every reflection coefficient has |alpha_k| < 1 (Cybenko, SIAM J.
+        Sci. Stat. Comput. 1, 1980; Golub and Van Loan, section 4.7).
         """
-        self._refuse_large_dense()
-        n, c = self.size, self.column
-        m = n // 2
-        leading = _toeplitz_view(c[:m])
-        hankel = np.lib.stride_tricks.sliding_window_view(c[::-1][: 2 * m - 1], m)
-        even = leading + hankel
-        if n % 2:
-            border = np.sqrt(2.0) * c[m:0:-1]
-            even = np.block([[even, border[:, None]], [border[None, :], c[:1, None]]])
-        low = min(np.linalg.eigvalsh(even)[0], np.linalg.eigvalsh(leading - hankel)[0])
-        return float(low)
+        head = self.column[0] - shift
+        if not head > 0.0:
+            return False
+        r = self.column[1:] / head
+        m = r.size
+        flipped = r[::-1].copy()
+        y = np.empty(m)
+        alpha = 0.0
+        beta = 1.0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for k in range(m):
+                if not abs(alpha) < 1.0:
+                    return False
+                beta *= 1.0 - alpha * alpha
+                # flipped[m - k:] is r_k .. r_1
+                alpha = -(r[k] + flipped[m - k :] @ y[:k]) / beta
+                y[:k] += alpha * y[:k][::-1]
+                y[k] = alpha
+        return bool(abs(alpha) < 1.0)
+
+    def _lanczos(self, scale: float) -> tuple[float, float]:
+        """Smallest Ritz value of T and its residual norm.
+
+        Lanczos with full reorthogonalization on the FFT matvec, at most
+        _LANCZOS_STEPS basis vectors, stopping once the residual is below
+        _RITZ_TOL * scale.  T is centrosymmetric, so an even (or odd) start
+        vector would never reach the odd (or even) eigenvectors: the start
+        is a golden-ratio Weyl sequence, deterministic and with both parts.
+        """
+        n = self.size
+        steps = min(n, _LANCZOS_STEPS)
+        basis = np.empty((steps, n))
+        # the Rayleigh quotient basis^T T basis, filled a column per step
+        projected = np.zeros((steps, steps))
+        start = (np.arange(1, n + 1) * _GOLDEN) % 1.0 - 0.5
+        basis[0] = start / np.linalg.norm(start)
+        for j in range(steps):
+            w = self.core_matvec(basis[j])
+            active = basis[: j + 1]
+            coefficients = active @ w
+            w -= coefficients @ active
+            # a second Gram-Schmidt pass keeps the basis orthonormal to rounding
+            w -= (active @ w) @ active
+            projected[: j + 1, j] = projected[j, : j + 1] = coefficients
+            ritz, vectors = np.linalg.eigh(projected[: j + 1, : j + 1])
+            link = float(np.linalg.norm(w))
+            residual = link * abs(float(vectors[-1, 0]))
+            if residual <= _RITZ_TOL * scale:
+                break
+            if j + 1 < steps:
+                basis[j + 1] = w / link
+        return float(ritz[0]), residual
+
+    def core_eigenvalue_bracket(self) -> tuple[float, float]:
+        """A certified bracket [lower, upper] around the smallest eigenvalue of T.
+
+        Lanczos gives the smallest Ritz value theta, a Rayleigh quotient, so
+        lambda_min <= theta.  One Durbin pass at s = theta - delta, delta the
+        Ritz residual plus the rounding margin c n eps ||T||, certifies
+        lambda_min >= s.  Should it reject s (Lanczos missed the lowest
+        eigenvector) or Lanczos stop unconverged, the same Durbin test
+        bisects between the Gershgorin bound and theta; a shift it accepts
+        there may lie within rounding of lambda_min, so the lower end drops
+        by the margin.  ||T|| is bounded by the largest row sum.  Takes O(n)
+        memory; refuses beyond MAX_DENSE_SIZE unknowns, since each Durbin
+        pass takes O(n^2) time.
+        """
+        n = self.size
+        if n > MAX_DENSE_SIZE:
+            raise ValueError(
+                "refusing to certify a %d-unknown core: the Durbin stability certificate "
+                "takes O(n^2) time (limit %d unknowns)" % (n, MAX_DENSE_SIZE)
+            )
+        mag = np.abs(self.column)
+        row_sums = _core_row_sums(mag)
+        # the largest row sum is ||T||_inf >= ||T||_2
+        scale = float(row_sums.max())
+        theta, residual = self._lanczos(scale)
+        rounding = _DURBIN_ROUNDING * n * _EPS * scale
+        # Gershgorin: no eigenvalue lies below c_0 minus an off-diagonal row sum
+        lower = float(self.column[0] - (row_sums - mag[0]).max())
+        upper = theta
+        shift = theta - residual - rounding
+        if lower < shift and self.core_is_definite(shift):
+            if residual <= _RITZ_TOL * scale:
+                return shift, theta
+            lower = shift
+        width = _RITZ_TOL * scale + rounding
+        while upper - lower > width:
+            shift = 0.5 * (lower + upper)
+            if not lower < shift < upper:
+                break
+            if self.core_is_definite(shift):
+                lower = shift
+            else:
+                upper = shift
+        return lower - rounding, upper
+
+    def core_min_eigenvalue(self) -> float:
+        """Smallest eigenvalue of the Toeplitz core T: the upper end of
+        `core_eigenvalue_bracket`, the Ritz value unless Durbin rejected it."""
+        return self.core_eigenvalue_bracket()[1]
 
     def dense(self) -> np.ndarray:
         """The n x n matrix, for oracles only; refuses beyond MAX_DENSE_SIZE."""

@@ -154,8 +154,9 @@ class PowerDecayCertificate:
 Certificate = Union[DecayCertificate, PowerDecayCertificate]
 
 
-# integrand points per panel: the 15 point rule and the 7 point rule
-_POINTS = _T15.size + _T7.size
+# integrand points per panel: the 15 point rule, then the 7 point rule
+_NODES = np.concatenate([_T15, _T7])
+_POINTS = _NODES.size
 # a round's panels go to the integrand in slices of at most this many, so
 # its temporaries stay near 180 KB each however many integrals share the
 # worklist; one call per round would scale them with the batch
@@ -174,7 +175,7 @@ def _panel_values(
         part = slice(start, start + _SLICE_PANELS)
         mid = 0.5 * (lo[part] + hi[part])[:, None]
         rad = 0.5 * (hi[part] - lo[part])[:, None]
-        pts = np.concatenate([mid + rad * _T15, mid + rad * _T7], axis=1)
+        pts = mid + rad * _NODES
         vals = np.asarray(f(pts.ravel(), owner[part].repeat(_POINTS)), dtype=float)
         vals = vals.reshape(pts.shape)
         fine[part] = (vals[:, :15] @ _W15) * rad[:, 0]
@@ -183,12 +184,12 @@ def _panel_values(
 
 
 def _ladder(
-    anchor: np.ndarray, direction: float, lo: np.ndarray, hi: np.ndarray
+    direction: float, lo: np.ndarray, hi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Edges anchor + direction * max(|anchor|, 1) * 2**t strictly inside
-    (lo, hi), as (positions, row index)."""
-    if anchor.size == 0:
-        return np.empty(0), np.empty(0, dtype=int)
+    (lo, hi), as (positions, row index); the ladder climbs from
+    max(lo, 0) (direction 1) or descends from min(hi, 0) (direction -1)."""
+    anchor = np.maximum(lo, 0.0) if direction > 0 else np.minimum(hi, 0.0)
     step = np.maximum(np.abs(anchor), 1.0)
     rungs = int(np.log2(max(float(((hi - lo) / step).max()), 1.0))) + 2
     edges = anchor[:, None] + direction * (step[:, None] * 2.0 ** np.arange(rungs))
@@ -212,24 +213,31 @@ def _initial_panels(
     first panels to O(1) size and the refinement has something real to
     bisect.  A truncated integral across 0 also gets an edge at 0.
     """
-    count = lo.size
-    owners = np.arange(count)
-    bp = np.sort(np.asarray(breakpoints, dtype=float))
-    # breakpoints strictly inside (lo_i, hi_i) are bp[first_i : first_i + inner_i]
-    first = np.searchsorted(bp, lo, side="right")
-    inner = np.maximum(np.searchsorted(bp, hi, side="left") - first, 0)
-    bp_owner = owners.repeat(inner)
-    starts = inner.cumsum() - inner
-    bp_pos = bp[first[bp_owner] + np.arange(bp_owner.size) - starts[bp_owner]]
+    owners = np.arange(lo.size)
+    pos, own = [lo, hi], [owners, owners]
+    if len(breakpoints):
+        bp = np.sort(np.asarray(breakpoints, dtype=float))
+        # breakpoints strictly inside (lo_i, hi_i) are bp[first_i : first_i + inner_i]
+        first = np.searchsorted(bp, lo, side="right")
+        inner = np.maximum(np.searchsorted(bp, hi, side="left") - first, 0)
+        bp_owner = owners.repeat(inner)
+        starts = inner.cumsum() - inner
+        pos.append(bp[first[bp_owner] + np.arange(bp_owner.size) - starts[bp_owner]])
+        own.append(bp_owner)
+    for cut, direction in ((upper_cut, 1.0), (lower_cut, -1.0)):
+        if cut.any():
+            rows = cut.nonzero()[0]
+            edges, row = _ladder(direction, lo[rows], hi[rows])
+            pos.append(edges)
+            own.append(rows[row])
+    if len(pos) == 2:
+        # the endpoints alone: one panel per nonempty interval
+        keep = lo < hi
+        return lo[keep], hi[keep], owners[keep]
 
-    up = upper_cut.nonzero()[0]
-    up_pos, up_row = _ladder(np.maximum(lo[up], 0.0), 1.0, lo[up], hi[up])
-    down = lower_cut.nonzero()[0]
-    down_pos, down_row = _ladder(np.minimum(hi[down], 0.0), -1.0, lo[down], hi[down])
     zero = ((upper_cut | lower_cut) & (lo < 0.0) & (hi > 0.0)).nonzero()[0]
-
-    pos = np.concatenate([lo, hi, bp_pos, up_pos, down_pos, np.zeros(zero.size)])
-    own = np.concatenate([owners, owners, bp_owner, up[up_row], down[down_row], zero])
+    pos = np.concatenate(pos + [np.zeros(zero.size)])
+    own = np.concatenate(own + [zero])
     order = np.lexsort((pos, own))
     pos, own = pos[order], own[order]
     fresh = np.ones(pos.size, dtype=bool)
@@ -292,15 +300,15 @@ def adaptive_quad_many(
 
     upper_cut, lower_cut = np.isinf(upper), np.isinf(lower)
     tail = np.zeros(count)
-    budget = np.where(tol > 0.0, tol, 1e-15) / 10.0
     truncations: dict = {}
     for i in (upper_cut | lower_cut).nonzero()[0]:
         cert = decay if single else decay[i]
         if cert is None:
             raise ValueError("an infinite endpoint requires a decay certificate")
-        key = (cert, budget[i])
+        budget = (tol[i] if tol[i] > 0.0 else 1e-15) / 10.0
+        key = (cert, budget)
         if key not in truncations:
-            point = cert.truncation_point(budget[i])
+            point = cert.truncation_point(budget)
             truncations[key] = (point, cert.tail_bound(point))
         point, bound = truncations[key]
         if upper_cut[i]:
@@ -329,8 +337,6 @@ def adaptive_quad_many(
 
     panels = np.bincount(owner, minlength=count)
     for round_ in range(max(max_rounds, 0) + 1):
-        if not live.any():
-            break
         fine, gap = _panel_values(f, lo, hi, owner)
         evaluations += _POINTS * lo.size
         size = np.abs(fine)
@@ -344,6 +350,8 @@ def adaptive_quad_many(
         np.copyto(error, spread, where=done)
         converged &= ~(done & exhausted)
         live &= ~done
+        if not live.any():
+            break
 
         share = goal / (2.0 * (panels + frozen_count + 1))
         refining = live[owner]

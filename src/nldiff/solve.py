@@ -37,10 +37,11 @@ M = 256 and a = 0.3, both passed tol = 1e-10 with actual worst errors of
 1.6e-10 (this table, estimate 4.0e-11) and 4.2e-9 (one adaptive quadrature
 per mode); at a = 0.351414 they were 5.8e-12 and 6.0e-9.
 
-The Dirichlet certificate is the smallest eigenvalue of the symmetric core,
-from its even and odd centrosymmetric halves
-(`StructuredOperator.core_min_eigenvalue`); the whole-line and flux-closure
-certificate is the O(n) norm ||I - N||_inf.
+The Dirichlet certificate brackets the smallest eigenvalue of the symmetric
+core (`StructuredOperator.core_eigenvalue_bracket`): a Lanczos Ritz value on
+the FFT matvec from above, one Durbin pass on the shifted core from below,
+in O(n) memory; the grid is stable when the lower end is positive.  The
+whole-line and flux-closure certificate is the O(n) norm ||I - N||_inf.
 """
 
 from __future__ import annotations
@@ -361,7 +362,9 @@ def evaluate_solution(
 class StabilityReport:
     symbol_values: np.ndarray
     symbol_lower_bound: float
+    # Dirichlet only: the Ritz value and the certified lower end below it
     min_eigenvalue: float | None
+    min_eigenvalue_lower: float | None
     contraction_norm: float | None
     stable: bool
     # worst gap between the symbol tables on P and 2P panels
@@ -378,23 +381,25 @@ def _symbol_samples(kernel: Kernel, grid: Grid, tol: float) -> tuple[np.ndarray,
 def stability_report(system: DiscreteSystem, tol: float = 1e-10) -> StabilityReport:
     """Symbol samples plus the variant's algebraic stability certificate.
 
-    Dirichlet systems are symmetric, so the certificate is the smallest
-    eigenvalue; real line systems lose symmetry through the boundary
-    columns and certify through ||I - N||_inf < 1 instead.  ``tol`` bounds
-    the estimated absolute error of each symbol sample; a table that does
-    not reach it raises QuadratureError.
+    Dirichlet systems are symmetric, so the certificate is a bracket on
+    the smallest eigenvalue, stable when its certified lower end is
+    positive; real line systems lose symmetry through the boundary columns
+    and certify through ||I - N||_inf < 1 instead.  ``tol`` bounds the
+    estimated absolute error of each symbol sample; a table that does not
+    reach it raises QuadratureError.
     """
     kernel = system.kernel
     grid = system.grid
     operator = system.operator
 
-    # the certificate comes first: the dense guard of a Dirichlet system
+    # the certificate comes first: the size guard of a Dirichlet system
     # that is too large then fails before any symbol work
     min_eig: float | None = None
+    min_eig_lower: float | None = None
     contraction: float | None = None
     if system.variant == "dirichlet":
-        min_eig = operator.core_min_eigenvalue()
-        stable = min_eig > 0.0
+        min_eig_lower, min_eig = operator.core_eigenvalue_bracket()
+        stable = min_eig_lower > 0.0
     else:
         # I - N = (I - T) + B E^T, again Toeplitz plus boundary columns
         gap_column = -operator.column
@@ -411,6 +416,7 @@ def stability_report(system: DiscreteSystem, tol: float = 1e-10) -> StabilityRep
         symbol_values=symbol,
         symbol_lower_bound=bound,
         min_eigenvalue=min_eig,
+        min_eigenvalue_lower=min_eig_lower,
         contraction_norm=contraction,
         stable=stable,
         symbol_error_estimate=symbol_error,

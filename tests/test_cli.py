@@ -167,6 +167,7 @@ class TestStability:
         assert kv["variant"] == "dirichlet"
         assert kv["stable"] == "true"
         assert float(kv["min_eigenvalue"]) == pytest.approx(0.066234881732554443, rel=1e-10)
+        assert 0.0 < float(kv["min_eigenvalue_lower"]) < float(kv["min_eigenvalue"])
         assert kv["contraction_norm"] == "nan"
         assert float(kv["symbol_min"]) == pytest.approx(4.5399929762484854e-05, rel=1e-10)
         assert float(kv["symbol_lower_bound"]) == pytest.approx(
@@ -182,16 +183,17 @@ class TestStability:
         kv = parse_kv(capsys.readouterr().out)
         assert kv["variant"] == "realline"
         assert kv["min_eigenvalue"] == "nan"
+        assert kv["min_eigenvalue_lower"] == "nan"
         assert 0.0 < float(kv["contraction_norm"]) < 1.0
 
     def test_dense_certificate_too_large_is_a_clean_error(self, capsys):
-        # the smallest-eigenvalue certificate needs the dense matrix; it is
-        # refused before any n^2 allocation and before the symbol quadratures
+        # the smallest-eigenvalue certificate takes O(n^2) time; it is
+        # refused before the symbol quadratures
         assert (
             main(["stability", "--problem", "dirichlet-sech", "--L", "10", "--M", "100000"])
             == 2
         )
-        assert "refusing to materialise" in capsys.readouterr().err
+        assert "refusing to certify" in capsys.readouterr().err
 
     def test_neumann_variant_label(self, capsys):
         assert (

@@ -1,8 +1,9 @@
 """The structured operator against its own dense materialisation.
 
-Every fast member (FFT matvec, O(n) norm, T. Chan circulant) is checked
-against the dense matrix it stands for, on random columns and boundary
-blocks, odd and even sizes, with and without boundary columns.
+Every fast member (FFT matvec, O(n) norm, T. Chan circulant, the Lanczos
+and Durbin eigenvalue bracket) is checked against the dense matrix it
+stands for, on random columns and boundary blocks, odd and even sizes,
+with and without boundary columns; dense eigvalsh is the eigenvalue oracle.
 """
 
 import tracemalloc
@@ -12,6 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nldiff.assembly import assemble
+from nldiff.grids import build_grid
+from nldiff.harness import registry
 from nldiff.operator import MAX_DENSE_SIZE, StructuredOperator, convolve, fast_length
 
 
@@ -96,6 +100,123 @@ def test_core_min_eigenvalue_matches_eigvalsh(column):
     assert abs(op.core_min_eigenvalue() - spectrum[0]) <= 1e-12 * scale
 
 
+def registry_core(problem_id, steps, half_width=10.0):
+    case = registry()[problem_id].build(half_width)
+    return assemble(case.problem, build_grid(half_width, steps)).operator
+
+
+@pytest.fixture
+def durbin_calls(monkeypatch):
+    """The shifts every Durbin pass is asked about, in order."""
+    shifts = []
+    definite = StructuredOperator.core_is_definite
+
+    def counting(self, shift):
+        shifts.append(shift)
+        return definite(self, shift)
+
+    monkeypatch.setattr(StructuredOperator, "core_is_definite", counting)
+    return shifts
+
+
+@pytest.mark.parametrize("problem_id", ["dirichlet-sech", "dirichlet-mixed-kernel"])
+def test_durbin_decides_definiteness_at_the_eigenvalue(problem_id):
+    op = registry_core(problem_id, 256)
+    low = np.linalg.eigvalsh(op.dense())[0]
+    assert low > 0.0
+    assert op.core_is_definite(low * (1.0 - 1e-9))
+    assert not op.core_is_definite(low * (1.0 + 1e-9))
+    lower, upper = op.core_eigenvalue_bracket()
+    assert lower <= low <= upper + 1e-14
+    assert upper - low <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "column, passes",
+    [
+        # tridiagonal: its lowest eigenvector sin(6 pi j / 7) is odd
+        ([1.0, 0.6, 0.0, 0.0, 0.0, 0.0], 1),
+        # Lanczos breaks down after one step, and Gershgorin's bound already
+        # meets the Ritz value
+        ([2.5] + [0.0] * 49, 0),
+    ],
+)
+def test_ritz_value_needs_no_bisection(column, passes, durbin_calls):
+    op = StructuredOperator(np.array(column), np.zeros((len(column), 0)))
+    low = np.linalg.eigvalsh(op.dense())[0]
+    assert abs(op.core_min_eigenvalue() - low) <= 1e-12 * abs(low)
+    assert len(durbin_calls) == passes
+
+
+def test_rejected_ritz_value_falls_back_to_bisection(monkeypatch, durbin_calls):
+    # a Lanczos run that settled on the top of the spectrum, as one that
+    # missed the lowest eigenvector would settle on a higher eigenvalue
+    op = random_operator(64, 0, seed=7)
+    spectrum = np.linalg.eigvalsh(op.dense())
+    scale = float(np.abs(spectrum).max())
+    monkeypatch.setattr(
+        StructuredOperator, "_lanczos", lambda self, scale: (float(spectrum[-1]), 0.0)
+    )
+    lower, upper = op.core_eigenvalue_bracket()
+    assert len(durbin_calls) > 1
+    assert lower <= spectrum[0] <= upper
+    assert abs(upper - spectrum[0]) <= 1e-12 * scale
+
+
+def singular_core(size):
+    # tridiagonal [-1, 2 cos(pi / (n+1)), -1]: lambda_min is 0 up to rounding
+    column = np.zeros(size)
+    column[0] = 2.0 * np.cos(np.pi / (size + 1))
+    column[1] = -1.0
+    return StructuredOperator(column, np.zeros((size, 0)))
+
+
+@pytest.mark.parametrize("size", [2, 9, 64, 255])
+def test_bisection_lower_end_stays_below_a_zero_eigenvalue(size, monkeypatch, durbin_calls):
+    op = singular_core(size)
+    spectrum = np.linalg.eigvalsh(op.dense())
+    assert abs(spectrum[0]) < 1e-14
+    monkeypatch.setattr(
+        StructuredOperator, "_lanczos", lambda self, scale: (float(spectrum[-1]), 0.0)
+    )
+    lower, upper = op.core_eigenvalue_bracket()
+    assert len(durbin_calls) > 1
+    assert lower <= spectrum[0] <= upper
+    assert upper - lower <= 1e-11
+
+
+def test_bisection_allows_for_durbin_rounding(monkeypatch):
+    # a definiteness test that errs, as rounding may, by up to half the
+    # rounding margin 4 n eps ||T||_inf above lambda_min, and a Ritz value
+    # that puts the first midpoint inside that error: the shifts accepted
+    # there may not stand as the certified lower end
+    op = singular_core(64)
+    low = np.linalg.eigvalsh(op.dense())[0]
+    slack = 0.5 * 4.0 * op.size * np.finfo(float).eps * op.norm_inf()
+    gershgorin = op.column[0] - 2.0
+    theta = 2.0 * (low + 0.5 * slack) - gershgorin
+    monkeypatch.setattr(
+        StructuredOperator, "core_is_definite", lambda self, shift: bool(shift < low + slack)
+    )
+    monkeypatch.setattr(StructuredOperator, "_lanczos", lambda self, scale: (theta, 0.0))
+    lower, upper = op.core_eigenvalue_bracket()
+    assert lower <= low <= upper
+
+
+def test_core_eigenvalue_memory_is_linear():
+    # the even and odd halves for eigvalsh took about 268 MB at this size
+    op = registry_core("dirichlet-sech", 8192)
+    assert op.size == 8191
+    tracemalloc.start()
+    try:
+        low = op.core_min_eigenvalue()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert low > 0.0
+    assert peak < 4e6
+
+
 def test_rejects_malformed_blocks():
     with pytest.raises(ValueError):
         StructuredOperator(np.ones(4), np.ones((4, 1)))
@@ -112,7 +233,7 @@ def test_dense_refuses_before_allocating():
     try:
         with pytest.raises(ValueError, match="refusing to materialise"):
             op.dense()
-        with pytest.raises(ValueError, match="refusing to materialise"):
+        with pytest.raises(ValueError, match="refusing to certify"):
             op.core_min_eigenvalue()
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -338,6 +338,8 @@ def test_many_panel_cap_is_per_integral():
 def test_many_empty_interval_and_bad_input():
     r = adaptive_quad_many(lambda y, owner: np.ones_like(y), [1.0, 0.0], [1.0, 2.0], 1e-12)
     np.testing.assert_allclose(r.value, [0.0, 2.0], atol=1e-14)
+    # the empty interval is never evaluated
+    assert r.evaluations == 22
     with pytest.raises(ValueError, match="one decay certificate per integral"):
         adaptive_quad_many(
             lambda y, owner: np.exp(-y), [0.0, 0.0], math.inf, 1e-10,

@@ -153,7 +153,7 @@ class TestStructuredRoute:
         assert system.operator.size > MAX_DENSE_SIZE
         with pytest.raises(ValueError, match="refusing to materialise"):
             solve(system, method="dense")
-        with pytest.raises(ValueError, match="refusing to materialise"):
+        with pytest.raises(ValueError, match="refusing to certify"):
             stability_report(system)
 
 
@@ -331,15 +331,27 @@ class TestStability:
         system = assemble(case.problem, build_grid(5.0, 64))
         report = stability_report(system)
         assert report.min_eigenvalue == pytest.approx(0.066234881732554443, rel=1e-10)
+        assert 0.0 < report.min_eigenvalue - report.min_eigenvalue_lower < 1e-12
         assert report.contraction_norm is None
-        assert report.stable
+        assert report.stable is True
         assert report.symbol_values.min() == pytest.approx(
             4.5399929762484854e-05, rel=1e-10
         )
 
+    def test_stability_needs_a_positive_lower_end(self, monkeypatch):
+        # a positive Ritz value alone does not make the grid stable
+        monkeypatch.setattr(
+            StructuredOperator, "core_eigenvalue_bracket", lambda self: (-1e-12, 1e-12)
+        )
+        case = registry()["dirichlet-sech"].build(5.0)
+        report = stability_report(assemble(case.problem, build_grid(5.0, 64)))
+        assert (report.min_eigenvalue_lower, report.min_eigenvalue) == (-1e-12, 1e-12)
+        assert not report.stable
+
     def test_realline_certificate(self, line_system):
         report = stability_report(line_system)
         assert report.min_eigenvalue is None
+        assert report.min_eigenvalue_lower is None
         assert report.contraction_norm is not None
         assert 0.0 < report.contraction_norm < 1.0
         assert report.stable
