@@ -9,7 +9,9 @@ column: total + tail_mass on the diagonal, -w_j off it), B is an n x r block
 of boundary columns and E = [e_0, e_{n-1}] picks the first and last unknown.
 Dirichlet systems have r = 0; the whole-line and flux-closure systems have
 r = 2, the exterior sums and beyond-support moments absorbed by the edge
-unknowns.
+unknowns.  Kernel and grid are symmetric, so the second column is the
+first one reversed, B = [b, J b] with J the exchange matrix; the operator
+refuses any other n x 2 block.
 
 The operator never stores an n x n array.  Products go through a circulant
 embedding of T and numpy's real FFT, padded to a 5-smooth length, in
@@ -96,7 +98,9 @@ class StructuredOperator:
     """N = T - boundary @ [e_0, e_{n-1}]^T with T symmetric Toeplitz.
 
     column is the first column of T (length n); boundary is n x 0 or n x 2,
-    its columns subtracted from the first and the last column of T.
+    its columns subtracted from the first and the last column of T.  An
+    n x 2 block must be a mirror pair, boundary[:, 1] == boundary[::-1, 0]
+    exactly: the solve relies on it.
     """
 
     column: np.ndarray
@@ -114,6 +118,10 @@ class StructuredOperator:
                 "boundary block must be n x 0 or n x 2, got %s for n=%d"
                 % (boundary.shape, column.size)
             )
+        if boundary.shape[1] and not np.array_equal(
+            boundary[:, 1], boundary[::-1, 0], equal_nan=True
+        ):
+            raise ValueError("boundary columns must mirror each other: b_1 = b_0 reversed")
         n = column.size
         # circulant embedding [c_0 .. c_{n-1}, 0 .., c_{n-1} .. c_1]; its first
         # n rows and columns are T
@@ -285,11 +293,6 @@ class StructuredOperator:
             else:
                 upper = shift
         return lower - rounding, upper
-
-    def core_min_eigenvalue(self) -> float:
-        """Smallest eigenvalue of the Toeplitz core T: the upper end of
-        `core_eigenvalue_bracket`, the Ritz value unless Durbin rejected it."""
-        return self.core_eigenvalue_bracket()[1]
 
     def dense(self) -> np.ndarray:
         """The n x n matrix, for oracles only; refuses beyond MAX_DENSE_SIZE."""

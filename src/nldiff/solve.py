@@ -6,12 +6,13 @@ circulant (Chan 1988; Chan and Ng, SIAM Review 38, 1996), which is positive
 definite whenever T is, the sign-changing mixed kernel included; every
 product goes through the operator's FFT matvec.  The whole-line and
 flux-closure systems N = T - B E^T add two boundary columns, handled by
-Sherman-Morrison-Woodbury: one batched CG run for b and both columns of B,
-then a 2 x 2 capacitance solve.  Dirichlet systems run the same code with no
-boundary columns.  Dense LU remains as the explicit oracle
-`solve(system, method="dense")`.  Either way the solver verifies the
-residual with the fast matvec and refuses to return a solution that does
-not satisfy it.
+Sherman-Morrison-Woodbury.  The columns mirror each other, B = [b_0, J b_0],
+and J T = T J, so one batched CG run for b and b_0 gives T^{-1} J b_0 as the
+reversed T^{-1} b_0, and the 2 x 2 capacitance splits into an even and an
+odd scalar.  Dirichlet systems run the same code with no boundary columns.
+Dense LU remains as the explicit oracle `solve(system, method="dense")`.
+Either way the solver verifies the residual with the fast matvec and
+refuses to return a solution that does not satisfy it.
 
 The stability report samples the operator symbol on the cosine modes of the
 weight support, j = 0..M with R = M h the weight support radius:
@@ -212,24 +213,27 @@ def _solve_structured(operator: StructuredOperator, rhs: np.ndarray) -> tuple[np
             residual=float(np.abs(rhs).max()),
         )
     # Sherman-Morrison-Woodbury for N = T - B E^T:
-    # u = y + Z (I - E^T Z)^{-1} E^T y with y = T^{-1} b, Z = T^{-1} B
+    # u = y + Z (I - E^T Z)^{-1} E^T y with y = T^{-1} b, Z = T^{-1} B.
+    # B = [b_0, J b_0] and J T = T J, so Z = [z, J z] with z = T^{-1} b_0, and
+    # I - E^T Z = [[1 - a, -c], [-c, 1 - a]] (a = z_0, c = z_{n-1}) acts on
+    # even and odd pairs as the scalars 1 - a - c and 1 - a + c
     solved, iterations = _preconditioned_cg(
-        operator, eigenvalues, np.vstack((rhs, operator.boundary.T))
+        operator, eigenvalues, np.vstack((rhs, operator.boundary[:, :1].T))
     )
     values = solved[0]
     if operator.rank:
-        columns = solved[1:]
-        capacitance = np.eye(operator.rank) - columns[:, [0, -1]].T
-        try:
-            shift = np.linalg.solve(capacitance, values[[0, -1]])
-        except np.linalg.LinAlgError as exc:
+        z = solved[1]
+        even, odd = 1.0 - z[0] - z[-1], 1.0 - z[0] + z[-1]
+        if not all(math.isfinite(scalar) and scalar != 0.0 for scalar in (even, odd)):
             raise SolveError(
-                "boundary capacitance matrix is singular (%s)" % exc,
+                "boundary capacitance is singular (even %.3e, odd %.3e)" % (even, odd),
                 condition_estimate=math.inf,
                 iterations=iterations,
                 residual=float(np.abs(rhs).max()),
-            ) from exc
-        values = values + shift @ columns
+            )
+        even_shift = 0.5 * (values[0] + values[-1]) / even
+        odd_shift = 0.5 * (values[0] - values[-1]) / odd
+        values = values + (even_shift + odd_shift) * z + (even_shift - odd_shift) * z[::-1]
     return values, iterations
 
 

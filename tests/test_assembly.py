@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nldiff.assembly import (
     DecayModel,
@@ -343,6 +345,29 @@ class TestRealLineSystem:
         np.testing.assert_array_equal(system.rhs, np.cos(grid.spacing * system.indices))
         assert system.variant == "realline"
         assert system.decay is problem.decay
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        variant=st.sampled_from(["realline", "neumann"]),
+        mixed=st.booleans(),
+        half_width=st.floats(min_value=1.0, max_value=40.0),
+        half_steps=st.integers(min_value=2, max_value=800),
+        exponent=st.floats(min_value=0.5, max_value=4.0),
+    )
+    def test_boundary_columns_are_exact_mirrors(
+        self, variant, mixed, half_width, half_steps, exponent
+    ):
+        # the operator refuses any other block; this pins that assembly
+        # never builds one, so the solve's single mirrored column is exact
+        kernel = mixed_exponential_kernel() if mixed else laplace_kernel()
+        decay = DecayModel(exponent)
+        if variant == "realline":
+            problem = RealLineProblem(kernel=kernel, forcing=np.cos, decay=decay)
+        else:
+            problem = NeumannProblem(kernel, np.cos, np.cos, 0.5 * half_width, decay)
+        boundary = assemble(problem, build_grid(half_width, 2 * half_steps)).operator.boundary
+        assert boundary.shape == (2 * half_steps + 1, 2)
+        np.testing.assert_array_equal(boundary[:, 1], boundary[::-1, 0])
 
 
 class TestNeumann:

@@ -219,6 +219,25 @@ class TestFailureExitCodes:
         assert "\n" not in err
         assert "did not converge" in err and "iterations=1" in err and "residual=" in err
 
+    def test_singular_capacitance(self, capsys, monkeypatch):
+        # z = T^{-1} b_0 with z_0 = z_{n-1} = 1/2 zeroes the even scalar
+        module = importlib.import_module("nldiff.solve")
+        cg = module._preconditioned_cg
+
+        def forced(operator, eigenvalues, rhs):
+            solved, iterations = cg(operator, eigenvalues, rhs)
+            solved[1, [0, -1]] = 0.5
+            return solved, iterations
+
+        monkeypatch.setattr(module, "_preconditioned_cg", forced)
+        code = main(["solve", "--problem", "realline-algebraic", "--L", "5", "--M", "64"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert "\n" not in err
+        assert "capacitance is singular" in err and "iterations=" in err
+
     def test_quadrature_budget_exhaustion(self, capsys, monkeypatch):
         monkeypatch.setattr(
             importlib.import_module("nldiff.harness"),

@@ -83,6 +83,37 @@ class TestReferenceData:
         assert float(jump_forcing_interior(0.0)) == pytest.approx(-2.0 / 3.0)
         assert float(jump_forcing_exterior(2.0)) == pytest.approx(1.0 / 16.0)
 
+    def test_reference_functions_match_the_power_formulas(self):
+        # the reference functions square twice instead of calling x ** 4 or
+        # xe ** -4.0, which numpy evaluates slowly on negative bases; the
+        # power formulas stay here as the oracle.  Where a formula cancels
+        # (the forcing's zeros, algebraic_exact at large |x|, jump_exact
+        # near |x| = sqrt(6)) a one-ulp change in a term is a larger relative
+        # change in the value, so the gap is measured against the largest value
+        x = np.concatenate((np.linspace(-80.0, 80.0, 51201), [-1.0, 1.0]))
+        x2 = x * x
+        forcing = (2.0 - 3.0 * x * x) / ((1.0 + x * x) * (x ** 4 + 4.0))
+        exact = (
+            forcing
+            - x * np.arctan(x)
+            + 0.5 * (x - 1.0) * np.arctan(x - 1.0)
+            + 0.5 * (x + 1.0) * np.arctan(x + 1.0)
+            + 0.5 * np.log1p(x2)
+            - 0.25 * np.log(x ** 4 + 4.0)
+        )
+        inside = np.abs(x) < 1.0
+        xi = np.where(inside, x, 0.0)
+        xe = np.where(inside, 1.0, x)
+        jump = np.where(
+            inside,
+            xi * xi - (xi * xi - 3.0) * (xi * xi - 1.0) / 12.0 - 5.0 / 6.0,
+            xe ** -4.0 - 1.0 / (6.0 * xe * xe),
+        )
+        pairs = ((algebraic_forcing, forcing), (algebraic_exact, exact), (jump_exact, jump))
+        for function, want in pairs:
+            assert np.abs(function(x) - want).max() <= 1e-15 * np.abs(want).max()
+        assert jump_exact(x)[-2:].tolist() == [5.0 / 6.0, 5.0 / 6.0]
+
     def test_forcings_survive_large_arguments(self):
         # overflow is guarded; harmless underflow to zero is expected
         with np.errstate(over="raise", invalid="raise"):

@@ -20,9 +20,11 @@ from nldiff.operator import MAX_DENSE_SIZE, StructuredOperator, convolve, fast_l
 
 
 def random_operator(size, rank, seed):
+    # a rank-2 block is a mirror pair, the only kind the operator accepts
     rng = np.random.default_rng(seed)
     column = rng.standard_normal(size)
-    boundary = rng.standard_normal((size, rank))
+    first = rng.standard_normal(size)
+    boundary = np.column_stack((first, first[::-1]))[:, :rank]
     return StructuredOperator(column, boundary)
 
 
@@ -97,7 +99,7 @@ def test_core_min_eigenvalue_matches_eigvalsh(column):
     op = StructuredOperator(np.array(column), np.zeros((len(column), 0)))
     spectrum = np.linalg.eigvalsh(op.dense())
     scale = max(float(np.abs(spectrum).max()), 1e-300)
-    assert abs(op.core_min_eigenvalue() - spectrum[0]) <= 1e-12 * scale
+    assert abs(op.core_eigenvalue_bracket()[1] - spectrum[0]) <= 1e-12 * scale
 
 
 def registry_core(problem_id, steps, half_width=10.0):
@@ -144,7 +146,7 @@ def test_durbin_decides_definiteness_at_the_eigenvalue(problem_id):
 def test_ritz_value_needs_no_bisection(column, passes, durbin_calls):
     op = StructuredOperator(np.array(column), np.zeros((len(column), 0)))
     low = np.linalg.eigvalsh(op.dense())[0]
-    assert abs(op.core_min_eigenvalue() - low) <= 1e-12 * abs(low)
+    assert abs(op.core_eigenvalue_bracket()[1] - low) <= 1e-12 * abs(low)
     assert len(durbin_calls) == passes
 
 
@@ -209,11 +211,11 @@ def test_core_eigenvalue_memory_is_linear():
     assert op.size == 8191
     tracemalloc.start()
     try:
-        low = op.core_min_eigenvalue()
+        lower, _ = op.core_eigenvalue_bracket()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert low > 0.0
+    assert lower > 0.0
     assert peak < 4e6
 
 
@@ -224,6 +226,16 @@ def test_rejects_malformed_blocks():
         StructuredOperator(np.ones(4), np.ones((3, 2)))
     with pytest.raises(ValueError):
         StructuredOperator(np.ones(1), np.ones((1, 0)))
+    # a mirror pair up to one ulp in one entry is still refused
+    first = np.arange(1.0, 6.0)
+    skewed = np.column_stack((first, first[::-1]))
+    skewed[1, 1] = np.nextafter(skewed[1, 1], np.inf)
+    with pytest.raises(ValueError, match="mirror"):
+        StructuredOperator(np.ones(5), skewed)
+    with pytest.raises(ValueError, match="mirror"):
+        StructuredOperator(np.ones(5), np.column_stack((first, first)))
+    # non-finite entries in mirror positions pass: the solve reports them
+    StructuredOperator(np.ones(5), np.full((5, 2), np.nan))
 
 
 def test_dense_refuses_before_allocating():
@@ -234,7 +246,7 @@ def test_dense_refuses_before_allocating():
         with pytest.raises(ValueError, match="refusing to materialise"):
             op.dense()
         with pytest.raises(ValueError, match="refusing to certify"):
-            op.core_min_eigenvalue()
+            op.core_eigenvalue_bracket()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

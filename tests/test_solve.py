@@ -147,6 +147,40 @@ class TestStructuredRoute:
         # a 6399^2 float64 matrix alone is 328 MB
         assert peak < 20e6
 
+    @pytest.mark.parametrize(
+        "problem_id, bytes_per_unknown",
+        # measured 232 (336 with a CG row per boundary column) and 128
+        [("realline-algebraic", 260), ("dirichlet-sech", 160)],
+    )
+    def test_solve_memory_per_unknown_at_two_to_the_sixteen(self, problem_id, bytes_per_unknown):
+        case = registry()[problem_id].build(10.0)
+        system = assemble(case.problem, build_grid(10.0, 1 << 16))
+        tracemalloc.start()
+        try:
+            solve(system)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bytes_per_unknown * system.operator.size
+
+    def test_cg_batches_the_rhs_and_one_boundary_column(
+        self, sech_system, line_system, monkeypatch
+    ):
+        module = importlib.import_module("nldiff.solve")
+        cg = module._preconditioned_cg
+        rows = []
+
+        def recording(operator, eigenvalues, rhs):
+            rows.append(rhs.shape[0])
+            return cg(operator, eigenvalues, rhs)
+
+        monkeypatch.setattr(module, "_preconditioned_cg", recording)
+        case = registry()["neumann-discontinuous"].build(10.0)
+        neumann_system = assemble(case.problem, build_grid(10.0, 100))
+        for system in (sech_system, line_system, neumann_system):
+            solve(system)
+        assert rows == [1, 2, 2]
+
     def test_dense_oracle_refuses_large_systems(self):
         case = registry()["dirichlet-sech"].build(10.0)
         system = assemble(case.problem, build_grid(10.0, 100000))
@@ -203,6 +237,33 @@ def test_structured_solve_matches_dense_lu(variant, kernel, half_width, half_ste
     assert np.abs(fast - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    variant=st.sampled_from(["dirichlet", "realline", "neumann"]),
+    kernel=st.sampled_from(sorted(_KERNELS)),
+    half_width=st.floats(min_value=1.0, max_value=20.0),
+    half_steps=st.integers(min_value=2, max_value=400),
+    width=st.floats(min_value=0.2, max_value=5.0),
+    frequency=st.floats(min_value=0.0, max_value=3.0),
+)
+def test_even_forcing_gives_an_even_solution(
+    variant, kernel, half_width, half_steps, width, frequency
+):
+    # the grid, the kernel, the exterior data and the boundary columns are
+    # all symmetric, so reflection maps the solution to itself
+    def even_forcing(x):
+        x = np.asarray(x, dtype=float)
+        return np.exp(-(x / width) * (x / width)) * np.cos(frequency * x)
+
+    problem = dataclasses.replace(
+        _variant_problem(variant, _KERNELS[kernel], half_width), forcing=even_forcing
+    )
+    system = assemble(problem, build_grid(half_width, 2 * half_steps))
+    assert np.array_equal(system.rhs, system.rhs[::-1])
+    values = solve(system).values
+    assert np.abs(values - values[::-1]).max() <= 1e-13 * np.abs(values).max()
+
+
 class TestSolveFaults:
     def test_cg_breakdown_on_an_indefinite_core(self, sech_system):
         # unit diagonal with 2 in the corners: the (0, n-1) block has
@@ -232,6 +293,35 @@ class TestSolveFaults:
         assert err.value.iterations == 2
         assert err.value.residual > 0.0
         assert 1.0 < err.value.condition_estimate < math.inf
+
+    @pytest.mark.parametrize(
+        "edges, scalar",
+        # (z_0, z_{n-1}) of z = T^{-1} b_0, chosen so that 1 - z_0 - z_{n-1}
+        # (even) or 1 - z_0 + z_{n-1} (odd) is exactly zero or not finite
+        [
+            ((0.5, 0.5), "even 0.000e+00"),
+            ((0.75, 0.25), "even 0.000e+00"),
+            ((0.5, -0.5), "odd 0.000e+00"),
+            ((0.25, -0.75), "odd 0.000e+00"),
+            ((math.nan, 0.0), "even nan"),
+            ((0.0, math.inf), "even -inf"),
+        ],
+    )
+    def test_singular_capacitance(self, line_system, monkeypatch, edges, scalar):
+        module = importlib.import_module("nldiff.solve")
+        cg = module._preconditioned_cg
+
+        def forced(operator, eigenvalues, rhs):
+            solved, iterations = cg(operator, eigenvalues, rhs)
+            solved[1, [0, -1]] = edges
+            return solved, iterations
+
+        monkeypatch.setattr(module, "_preconditioned_cg", forced)
+        with pytest.raises(SolveError, match="capacitance is singular") as err:
+            solve(line_system)
+        assert scalar in str(err.value)
+        assert err.value.condition_estimate == math.inf
+        assert err.value.iterations > 0
 
     def test_nan_forcing(self, sech_system):
         rhs = sech_system.rhs.copy()
