@@ -14,10 +14,10 @@ Three problem families share one weight table:
   the exterior branch on |x| >= split_radius (closed exterior convention).
 
 Every system is a `StructuredOperator`: the symmetric Toeplitz core given by
-its first column plus, for the real line and flux closure, two boundary
-columns.  The exterior sums are one FFT convolution of the weight table with
-the exterior data or the decay profile, so assembly costs O(n log n) time
-and O(n) memory.
+its first column plus, for the real line and flux closure, two mirrored
+boundary columns, stored as the first one (`edge`).  The exterior sums are
+one FFT convolution of the weight table with the exterior data or the decay
+profile, so assembly costs O(n log n) time and O(n) memory.
 
 The beyond-support integrals take a closed form when the problem or the
 kernel carries one.  Otherwise all of them come from one batched adaptive
@@ -243,7 +243,7 @@ def assemble_dirichlet(
     boundary = _dirichlet_boundary(problem, grid, h * idx)
     rhs = np.asarray(problem.forcing(h * idx), dtype=float) + exterior + boundary
     return DiscreteSystem(
-        operator=StructuredOperator(_core_column(weights, idx.size), np.zeros((idx.size, 0))),
+        operator=StructuredOperator(_core_column(weights, idx.size)),
         rhs=rhs,
         variant="dirichlet",
         grid=grid,
@@ -268,20 +268,19 @@ def assemble_realline(
     h = grid.spacing
     idx = np.arange(-k, k + 1)
 
-    q = problem.decay.exponent
     # decay profile at x = h*(k + t), t in [0, m], strictly beyond the edge
     # node (an unknown itself); node i sees entry i + k of the convolution
     # on the right and, the profile being even, entry k - i on the left
     prof = np.zeros(m + 1)
-    prof[1:] = (grid.half_width / (h * np.arange(k + 1, k + m + 1))) ** q
+    prof[1:] = problem.decay.profile(h * np.arange(k + 1, k + m + 1), grid.half_width)
     sums = convolve(weights.weights, prof)[: m + 1]
 
-    b1, b2 = realline_boundary_terms(problem.kernel, grid, problem.decay)
-    boundary = np.column_stack((sums + b1, sums[::-1] + b2))
+    # b2 is b1 reversed, so the second column is this one reversed
+    b1, _ = realline_boundary_terms(problem.kernel, grid, problem.decay)
 
     rhs = np.asarray(problem.forcing(h * idx), dtype=float)
     return DiscreteSystem(
-        operator=StructuredOperator(_core_column(weights, idx.size), boundary),
+        operator=StructuredOperator(_core_column(weights, idx.size), sums + b1),
         rhs=rhs,
         variant=variant,
         grid=grid,

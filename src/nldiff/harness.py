@@ -5,12 +5,17 @@ case with known solution, a whole-line case with algebraically decaying
 solution, a flux-closure case whose solution jumps, the smooth case again
 under a sign-changing kernel, and a family of closure comparisons that pit
 the whole-line scheme against homogeneous Dirichlet and homogeneous Neumann
-closures on identical forcings.
+closures on identical forcings.  It is a table of rows, built on first use.
+Eight rows hold a problem built once and solved on the given half width;
+the two comparison-*-neumann rows cut the forcing at the window edge
+(split radius L) and solve on the doubled grid 2L.
 
-Closed forms shipped with a problem are never trusted blindly: at
-registration each one is compared against the quadrature route, and on
-disagreement beyond 1e-6 the closed form is dropped (the quadrature value
-wins) with a warning in the log.
+Closed forms shipped with a problem are never trusted blindly.  One audit
+compares the two kernels' tail masses and the two sech-data boundary terms
+against the quadrature route, eight checks in all; on disagreement beyond
+1e-6 the closed form is dropped (the quadrature value wins) with a warning
+in the log.  The registry is built from the audit's output, and
+`audit_closed_forms` returns its checks.
 
 The reported error of a sweep cell is the maximum deviation between the
 reconstructed solution and the reference solution over a dense probe
@@ -27,6 +32,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, IO, Mapping, Sequence
 
@@ -201,9 +207,9 @@ _LAPLACE = laplace_kernel()
 _MIXED = mixed_exponential_kernel()
 
 _SECH_FORCING_CERT = DecayCertificate(0.9, 5.0)
-_MIXED_FORCING_CERT = DecayCertificate(0.9, 16.0)
 _ALGEBRAIC_CERT = PowerDecayCertificate(4.0, 3.5)
 _JUMP_CERT = PowerDecayCertificate(4.0, 1.0)
+_SQUARE_DECAY = DecayModel(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -245,30 +251,6 @@ class ClosedFormCheck:
         return self.gap <= self.tol
 
 
-def _boundary_checks(
-    problem: DirichletProblem, label: str, tol: float
-) -> list[ClosedFormCheck]:
-    grid = build_grid(5.0, 64)
-    stripped = replace(problem, closed_boundary_term=None)
-    checks = []
-    for i in (0, 16):
-        closed = float(
-            np.asarray(problem.closed_boundary_term(np.asarray([grid.node(i)]), grid.weight_radius))[0]
-        )
-        reference = dirichlet_boundary_term(stripped, grid, i)
-        checks.append(ClosedFormCheck("%s[i=%d]" % (label, i), closed, reference, tol))
-    return checks
-
-
-def _tail_mass_checks(kernel: Kernel, label: str, tol: float) -> list[ClosedFormCheck]:
-    checks = []
-    for radius in (5.0, 10.0):
-        closed = kernel.closed_tail_mass(radius)
-        reference = tail_mass(kernel.without_closed_forms(), radius)
-        checks.append(ClosedFormCheck("%s[radius=%g]" % (label, radius), closed, reference, tol))
-    return checks
-
-
 def _keep_or_demote(
     subject, field: str, checks: list[ClosedFormCheck], audit: str, term: str
 ):
@@ -301,7 +283,15 @@ def validate_closed_boundary(
     disagreement the closed form is dropped so quadrature wins."""
     if problem.closed_boundary_term is None or problem.exterior_growth is None:
         return problem, []
-    checks = _boundary_checks(problem, label, tol)
+    grid = build_grid(5.0, 64)
+    stripped = replace(problem, closed_boundary_term=None)
+    checks = []
+    for i in (0, 16):
+        closed = float(
+            np.asarray(problem.closed_boundary_term(np.asarray([grid.node(i)]), grid.weight_radius))[0]
+        )
+        reference = dirichlet_boundary_term(stripped, grid, i)
+        checks.append(ClosedFormCheck("%s[i=%d]" % (label, i), closed, reference, tol))
     return _keep_or_demote(problem, "closed_boundary_term", checks, "closed form", "boundary term")
 
 
@@ -310,218 +300,127 @@ def validate_closed_tail_mass(
 ) -> tuple[Kernel, list[ClosedFormCheck]]:
     if kernel.closed_tail_mass is None:
         return kernel, []
-    checks = _tail_mass_checks(kernel, label, tol)
+    checks = [
+        ClosedFormCheck(
+            "%s[radius=%g]" % (label, radius),
+            kernel.closed_tail_mass(radius),
+            tail_mass(kernel.without_closed_forms(), radius),
+            tol,
+        )
+        for radius in (5.0, 10.0)
+    ]
     return _keep_or_demote(kernel, "closed_tail_mass", checks, "tail mass", "tail mass")
+
+
+def _sech_data_problem(kernel: Kernel, forcing, boundary) -> DirichletProblem:
+    # sech exterior data, whose beyond-support integral has a closed form
+    return DirichletProblem(
+        kernel, forcing, _sech, closed_boundary_term=boundary,
+        exterior_growth=GrowthCertificate(0.0, 1.0),
+    )
+
+
+def _audited_closed_forms() -> tuple[
+    Kernel, DirichletProblem, DirichletProblem, list[ClosedFormCheck]
+]:
+    """The exponential kernel and the two sech-data Dirichlet problems, any
+    closed form that disagrees with quadrature dropped, and the eight checks."""
+    laplace, laplace_checks = validate_closed_tail_mass(_LAPLACE, "laplace-tail-mass")
+    mixed, mixed_checks = validate_closed_tail_mass(_MIXED, "mixed-tail-mass")
+    sech_problem, sech_checks = validate_closed_boundary(
+        _sech_data_problem(laplace, sech_forcing, sech_boundary), "sech-boundary"
+    )
+    mixed_problem, mixed_problem_checks = validate_closed_boundary(
+        _sech_data_problem(mixed, mixed_forcing, mixed_boundary), "mixed-boundary"
+    )
+    checks = laplace_checks + mixed_checks + sech_checks + mixed_problem_checks
+    return laplace, sech_problem, mixed_problem, checks
 
 
 def audit_closed_forms() -> list[ClosedFormCheck]:
     """Re-run every registration-time closed form comparison and return it."""
-    checks: list[ClosedFormCheck] = []
-    checks.extend(_tail_mass_checks(_LAPLACE, "laplace-tail-mass", 1e-6))
-    checks.extend(_tail_mass_checks(_MIXED, "mixed-tail-mass", 1e-6))
-    checks.extend(
-        _boundary_checks(_sech_dirichlet_problem(_LAPLACE), "sech-boundary", 1e-6)
-    )
-    checks.extend(
-        _boundary_checks(_mixed_dirichlet_problem(_MIXED), "mixed-boundary", 1e-6)
-    )
-    return checks
+    return _audited_closed_forms()[-1]
 
 
-def _sech_dirichlet_problem(kernel: Kernel) -> DirichletProblem:
-    return DirichletProblem(
-        kernel=kernel,
-        forcing=sech_forcing,
-        exterior_data=_sech,
-        closed_boundary_term=sech_boundary,
-        exterior_growth=GrowthCertificate(0.0, 1.0),
-    )
+def _fixed_case(problem: AnyProblem, half_width: float) -> BuiltCase:
+    return BuiltCase(problem, half_width)
 
 
-def _mixed_dirichlet_problem(kernel: Kernel) -> DirichletProblem:
-    return DirichletProblem(
-        kernel=kernel,
-        forcing=mixed_forcing,
-        exterior_data=_sech,
-        closed_boundary_term=mixed_boundary,
-        exterior_growth=GrowthCertificate(0.0, 1.0),
+def _window_cut_case(kernel: Kernel, forcing, half_width: float) -> BuiltCase:
+    # the forcing is zeroed beyond the window edge and solved on the doubled grid
+    problem = NeumannProblem(
+        kernel, forcing, exterior_forcing=_zero, split_radius=half_width, decay=_SQUARE_DECAY
     )
+    return BuiltCase(problem, 2.0 * half_width)
 
 
 _REGISTRY: dict[str, RegisteredProblem] | None = None
 
 
 def _build_registry() -> dict[str, RegisteredProblem]:
-    laplace, _ = validate_closed_tail_mass(_LAPLACE, "laplace-tail-mass")
-    mixed, _ = validate_closed_tail_mass(_MIXED, "mixed-tail-mass")
-    sech_problem, _ = validate_closed_boundary(
-        _sech_dirichlet_problem(laplace), "sech-boundary"
+    laplace, sech_dirichlet, mixed_dirichlet, _ = _audited_closed_forms()
+    sech_realline = RealLineProblem(laplace, sech_forcing, decay=_SQUARE_DECAY)
+    algebraic_realline = RealLineProblem(laplace, algebraic_forcing, decay=_SQUARE_DECAY)
+    jump_neumann = NeumannProblem(
+        laplace, jump_forcing_interior, exterior_forcing=jump_forcing_exterior,
+        split_radius=1.0, decay=_SQUARE_DECAY,
     )
-    mixed_problem, _ = validate_closed_boundary(
-        _mixed_dirichlet_problem(mixed), "mixed-boundary"
-    )
-
-    def build_sech_dirichlet(half_width: float) -> BuiltCase:
-        return BuiltCase(sech_problem, half_width)
-
-    def build_mixed_dirichlet(half_width: float) -> BuiltCase:
-        return BuiltCase(mixed_problem, half_width)
-
-    def build_algebraic_realline(half_width: float) -> BuiltCase:
-        return BuiltCase(
-            RealLineProblem(kernel=laplace, forcing=algebraic_forcing, decay=DecayModel(2.0)),
-            half_width,
-        )
-
-    def build_jump_neumann(half_width: float) -> BuiltCase:
-        return BuiltCase(
-            NeumannProblem(
-                kernel=laplace,
-                forcing=jump_forcing_interior,
-                exterior_forcing=jump_forcing_exterior,
-                split_radius=1.0,
-                decay=DecayModel(2.0),
-            ),
-            half_width,
-        )
-
-    def build_sech_realline(half_width: float) -> BuiltCase:
-        return BuiltCase(
-            RealLineProblem(kernel=laplace, forcing=sech_forcing, decay=DecayModel(2.0)),
-            half_width,
-        )
-
-    def build_sech_zero_dirichlet(half_width: float) -> BuiltCase:
-        return BuiltCase(
-            DirichletProblem(
-                kernel=laplace,
-                forcing=sech_forcing,
-                exterior_data=_zero,
-                closed_boundary_term=_zero_boundary,
-            ),
-            half_width,
-        )
-
-    def build_sech_zero_neumann(half_width: float) -> BuiltCase:
-        return BuiltCase(
-            NeumannProblem(
-                kernel=laplace,
-                forcing=sech_forcing,
-                exterior_forcing=_zero,
-                split_radius=half_width,
-                decay=DecayModel(2.0),
-            ),
-            2.0 * half_width,
-        )
-
-    def build_algebraic_zero_dirichlet(half_width: float) -> BuiltCase:
-        return BuiltCase(
-            DirichletProblem(
-                kernel=laplace,
-                forcing=algebraic_forcing,
-                exterior_data=_zero,
-                closed_boundary_term=_zero_boundary,
-            ),
-            half_width,
-        )
-
-    def build_algebraic_zero_neumann(half_width: float) -> BuiltCase:
-        return BuiltCase(
-            NeumannProblem(
-                kernel=laplace,
-                forcing=algebraic_forcing,
-                exterior_forcing=_zero,
-                split_radius=half_width,
-                decay=DecayModel(2.0),
-            ),
-            2.0 * half_width,
-        )
-
+    sech_zero_dirichlet = DirichletProblem(laplace, sech_forcing, _zero, _zero_boundary)
+    algebraic_zero_dirichlet = DirichletProblem(laplace, algebraic_forcing, _zero, _zero_boundary)
     entries = [
         RegisteredProblem(
-            "dirichlet-sech",
-            build_sech_dirichlet,
-            _sech,
-            2.0,
-            compat_certificate=None,
+            "dirichlet-sech", partial(_fixed_case, sech_dirichlet), _sech, 2.0,
             notes="smooth Dirichlet reference case, exponential kernel",
         ),
         RegisteredProblem(
-            "realline-algebraic",
-            build_algebraic_realline,
-            algebraic_exact,
-            2.0,
+            "realline-algebraic", partial(_fixed_case, algebraic_realline), algebraic_exact, 2.0,
             compat_certificate=_ALGEBRAIC_CERT,
             notes="whole-line case with 1/(2x^2) far field; the window "
             "truncation floors the error at small half widths",
         ),
         RegisteredProblem(
-            "neumann-discontinuous",
-            build_jump_neumann,
-            jump_exact,
-            1.0,
+            "neumann-discontinuous", partial(_fixed_case, jump_neumann), jump_exact, 1.0,
             discontinuities=(-1.0, 1.0),
             compat_certificate=_JUMP_CERT,
             notes="flux closure with discontinuous solution; split radius "
             "fixed at 1 by the forcing",
         ),
         RegisteredProblem(
-            "dirichlet-mixed-kernel",
-            build_mixed_dirichlet,
-            _sech,
-            2.0,
-            compat_certificate=None,
+            "dirichlet-mixed-kernel", partial(_fixed_case, mixed_dirichlet), _sech, 2.0,
             notes="smooth Dirichlet case under the sign-changing kernel",
         ),
         RegisteredProblem(
-            "comparison-sech-realline",
-            build_sech_realline,
-            _sech,
-            2.0,
+            "comparison-sech-realline", partial(_fixed_case, sech_realline), _sech, 2.0,
             compat_certificate=_SECH_FORCING_CERT,
             notes="closure comparison anchor: whole-line scheme on the sech forcing",
         ),
         RegisteredProblem(
-            "comparison-sech-dirichlet",
-            build_sech_zero_dirichlet,
-            _sech,
-            2.0,
-            compat_certificate=None,
+            "comparison-sech-dirichlet", partial(_fixed_case, sech_zero_dirichlet), _sech, 2.0,
             notes="closure comparison: homogeneous Dirichlet exterior",
         ),
         RegisteredProblem(
-            "comparison-sech-neumann",
-            build_sech_zero_neumann,
-            _sech,
-            2.0,
+            "comparison-sech-neumann", partial(_window_cut_case, laplace, sech_forcing), _sech, 2.0,
             compat_certificate=_SECH_FORCING_CERT,
             notes="closure comparison: forcing zeroed outside the window, "
             "solved on the doubled grid; the truncation leaves a small "
             "nonzero forcing mean by construction",
         ),
         RegisteredProblem(
-            "comparison-algebraic-realline",
-            build_algebraic_realline,
-            algebraic_exact,
-            2.0,
+            "comparison-algebraic-realline", partial(_fixed_case, algebraic_realline),
+            algebraic_exact, 2.0,
             compat_certificate=_ALGEBRAIC_CERT,
             notes="closure comparison anchor: whole-line scheme on the algebraic forcing",
         ),
         RegisteredProblem(
-            "comparison-algebraic-dirichlet",
-            build_algebraic_zero_dirichlet,
-            algebraic_exact,
-            None,
-            compat_certificate=None,
+            "comparison-algebraic-dirichlet", partial(_fixed_case, algebraic_zero_dirichlet),
+            algebraic_exact, None,
             notes="closure comparison: homogeneous Dirichlet exterior ignores "
             "the algebraic far field, so the error floors at its size "
             "instead of following an h-order",
         ),
         RegisteredProblem(
-            "comparison-algebraic-neumann",
-            build_algebraic_zero_neumann,
-            algebraic_exact,
-            None,
+            "comparison-algebraic-neumann", partial(_window_cut_case, laplace, algebraic_forcing),
+            algebraic_exact, None,
             compat_certificate=_ALGEBRAIC_CERT,
             notes="closure comparison: forcing zeroed outside the window on "
             "the doubled grid; the dropped tail mass is order L^-3, so "

@@ -403,24 +403,22 @@ def validate_kernel(
     if kernel.sign_class is SignClass.MIXED_WITH_POSITIVE_TAIL:
         checks["positive_tails"] = all(v > 0.0 for v in tails.values())
 
-    if kernel.antiderivative_first is not None:
-        step = 1e-5 / kernel.decay_rate
-        sub = probe[(np.abs(probe) > 10 * step)][::25]
+    # central differences of each antiderivative against its derivative
+    step = 1e-5 / kernel.decay_rate
+    sub = probe[(np.abs(probe) > 10 * step)][::25]
+    pairs = (
+        ("first_antiderivative", kernel.antiderivative_first, kernel.evaluate),
+        ("second_antiderivative", kernel.antiderivative_second, kernel.antiderivative_first),
+    )
+    for name, antiderivative, derivative in pairs:
+        if antiderivative is None or derivative is None:
+            continue
         dnum = (
-            np.asarray(kernel.antiderivative_first(sub + step), dtype=float)
-            - np.asarray(kernel.antiderivative_first(sub - step), dtype=float)
+            np.asarray(antiderivative(sub + step), dtype=float)
+            - np.asarray(antiderivative(sub - step), dtype=float)
         ) / (2.0 * step)
-        target = np.asarray(kernel.evaluate(sub), dtype=float)
-        checks["first_antiderivative"] = float(np.abs(dnum - target).max()) <= 1e-4 * (1.0 + peak)
-    if kernel.antiderivative_second is not None and kernel.antiderivative_first is not None:
-        step = 1e-5 / kernel.decay_rate
-        sub = probe[(np.abs(probe) > 10 * step)][::25]
-        dnum = (
-            np.asarray(kernel.antiderivative_second(sub + step), dtype=float)
-            - np.asarray(kernel.antiderivative_second(sub - step), dtype=float)
-        ) / (2.0 * step)
-        target = np.asarray(kernel.antiderivative_first(sub), dtype=float)
-        checks["second_antiderivative"] = float(np.abs(dnum - target).max()) <= 1e-4 * (1.0 + peak)
+        target = np.asarray(derivative(sub), dtype=float)
+        checks[name] = float(np.abs(dnum - target).max()) <= 1e-4 * (1.0 + peak)
 
     return KernelValidationReport(
         mass=mass,

@@ -5,13 +5,12 @@ Every assembled system has the form
     N = T - B E^T
 
 where T is the symmetric Toeplitz core generated by the weight table (first
-column: total + tail_mass on the diagonal, -w_j off it), B is an n x r block
-of boundary columns and E = [e_0, e_{n-1}] picks the first and last unknown.
-Dirichlet systems have r = 0; the whole-line and flux-closure systems have
-r = 2, the exterior sums and beyond-support moments absorbed by the edge
-unknowns.  Kernel and grid are symmetric, so the second column is the
-first one reversed, B = [b, J b] with J the exchange matrix; the operator
-refuses any other n x 2 block.
+column: total + tail_mass on the diagonal, -w_j off it) and E = [e_0, e_{n-1}]
+picks the first and last unknown.  Dirichlet systems have no boundary
+columns.  The whole-line and flux-closure systems absorb the exterior sums
+and beyond-support moments into the edge unknowns.  Kernel and grid are
+symmetric, so the second column is the first one reversed: B = [b, J b]
+with J the exchange matrix, and the operator stores b alone (`edge`).
 
 The operator never stores an n x n array.  Products go through a circulant
 embedding of T and numpy's real FFT, padded to a 5-smooth length, in
@@ -95,33 +94,29 @@ def convolve(kernel: np.ndarray, data: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class StructuredOperator:
-    """N = T - boundary @ [e_0, e_{n-1}]^T with T symmetric Toeplitz.
+    """N = T - [edge, edge reversed] @ [e_0, e_{n-1}]^T with T symmetric Toeplitz.
 
-    column is the first column of T (length n); boundary is n x 0 or n x 2,
-    its columns subtracted from the first and the last column of T.  An
-    n x 2 block must be a mirror pair, boundary[:, 1] == boundary[::-1, 0]
-    exactly: the solve relies on it.
+    column is the first column of T (length n).  edge, when given (length
+    n), is subtracted from the first column of T and its reverse from the
+    last; None means no boundary columns.
     """
 
     column: np.ndarray
-    boundary: np.ndarray
+    edge: np.ndarray | None = None
     _padded: int = field(init=False, repr=False)
     _symbol: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         column = np.asarray(self.column, dtype=float)
-        boundary = np.asarray(self.boundary, dtype=float)
         if column.ndim != 1 or column.size < 2:
             raise ValueError("operator needs a first column of at least 2 entries")
-        if boundary.shape not in ((column.size, 0), (column.size, 2)):
-            raise ValueError(
-                "boundary block must be n x 0 or n x 2, got %s for n=%d"
-                % (boundary.shape, column.size)
-            )
-        if boundary.shape[1] and not np.array_equal(
-            boundary[:, 1], boundary[::-1, 0], equal_nan=True
-        ):
-            raise ValueError("boundary columns must mirror each other: b_1 = b_0 reversed")
+        if self.edge is not None:
+            edge = np.asarray(self.edge, dtype=float)
+            if edge.shape != column.shape:
+                raise ValueError(
+                    "edge column must have shape %s, got %s" % (column.shape, edge.shape)
+                )
+            object.__setattr__(self, "edge", edge)
         n = column.size
         # circulant embedding [c_0 .. c_{n-1}, 0 .., c_{n-1} .. c_1]; its first
         # n rows and columns are T
@@ -130,18 +125,12 @@ class StructuredOperator:
         embed[:n] = column
         embed[-(n - 1):] = column[:0:-1]
         object.__setattr__(self, "column", column)
-        object.__setattr__(self, "boundary", boundary)
         object.__setattr__(self, "_padded", padded)
         object.__setattr__(self, "_symbol", np.fft.rfft(embed))
 
     @property
     def size(self) -> int:
         return self.column.size
-
-    @property
-    def rank(self) -> int:
-        """Number of boundary columns (0 or 2)."""
-        return self.boundary.shape[1]
 
     def core_matvec(self, x: np.ndarray) -> np.ndarray:
         """T x for x of shape (..., n)."""
@@ -152,18 +141,18 @@ class StructuredOperator:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """N x for x of shape (..., n)."""
         out = self.core_matvec(x)
-        if self.rank:
-            out -= x[..., [0, -1]] @ self.boundary.T
+        if self.edge is not None:
+            out -= x[..., :1] * self.edge + x[..., -1:] * self.edge[::-1]
         return out
 
     def norm_inf(self) -> float:
         """Row-sum infinity norm ||N||_inf in O(n)."""
         mag = np.abs(self.column)
         sums = _core_row_sums(mag)
-        if self.rank:
-            sums += np.abs(self.column - self.boundary[:, 0]) - mag
-            flipped = self.column[::-1]
-            sums += np.abs(flipped - self.boundary[:, 1]) - mag[::-1]
+        if self.edge is not None:
+            change = np.abs(self.column - self.edge) - mag
+            sums += change
+            sums += change[::-1]
         return float(sums.max())
 
     def circulant_eigenvalues(self) -> np.ndarray:
@@ -298,7 +287,7 @@ class StructuredOperator:
         """The n x n matrix, for oracles only; refuses beyond MAX_DENSE_SIZE."""
         self._refuse_large_dense()
         matrix = _toeplitz_view(self.column).copy()
-        if self.rank:
-            matrix[:, 0] -= self.boundary[:, 0]
-            matrix[:, -1] -= self.boundary[:, 1]
+        if self.edge is not None:
+            matrix[:, 0] -= self.edge
+            matrix[:, -1] -= self.edge[::-1]
         return matrix

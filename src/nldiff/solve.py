@@ -53,7 +53,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .assembly import DiscreteSystem
+from .assembly import DecayModel, DiscreteSystem
 from .grids import Grid
 from .kernels import Kernel, tail_mass
 from .operator import StructuredOperator
@@ -217,11 +217,11 @@ def _solve_structured(operator: StructuredOperator, rhs: np.ndarray) -> tuple[np
     # B = [b_0, J b_0] and J T = T J, so Z = [z, J z] with z = T^{-1} b_0, and
     # I - E^T Z = [[1 - a, -c], [-c, 1 - a]] (a = z_0, c = z_{n-1}) acts on
     # even and odd pairs as the scalars 1 - a - c and 1 - a + c
-    solved, iterations = _preconditioned_cg(
-        operator, eigenvalues, np.vstack((rhs, operator.boundary[:, :1].T))
-    )
+    edge = operator.edge
+    rows = rhs[None, :] if edge is None else np.vstack((rhs, edge))
+    solved, iterations = _preconditioned_cg(operator, eigenvalues, rows)
     values = solved[0]
-    if operator.rank:
+    if edge is not None:
         z = solved[1]
         even, odd = 1.0 - z[0] - z[-1], 1.0 - z[0] + z[-1]
         if not all(math.isfinite(scalar) and scalar != 0.0 for scalar in (even, odd)):
@@ -351,9 +351,7 @@ def evaluate_solution(
         out = np.interp(pts, nodes, solution.values)
         outside = np.abs(pts) > w
         if np.any(outside):
-            q = solution.tail.exponent
-            with np.errstate(over="ignore"):
-                prof = (w / np.maximum(np.abs(pts[outside]), w)) ** q
+            prof = DecayModel(solution.tail.exponent).profile(pts[outside], w)
             side = np.where(
                 pts[outside] < 0, solution.tail.left_value, solution.tail.right_value
             )
@@ -408,7 +406,7 @@ def stability_report(system: DiscreteSystem, tol: float = 1e-10) -> StabilityRep
         # I - N = (I - T) + B E^T, again Toeplitz plus boundary columns
         gap_column = -operator.column
         gap_column[0] += 1.0
-        contraction = StructuredOperator(gap_column, -operator.boundary).norm_inf()
+        contraction = StructuredOperator(gap_column, -operator.edge).norm_inf()
         stable = contraction < 1.0
 
     symbol, symbol_error = _symbol_samples(kernel, grid, tol)

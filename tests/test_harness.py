@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from nldiff import harness
 from nldiff.assembly import DirichletProblem, NeumannProblem, RealLineProblem, neumann_to_realline
 from nldiff.harness import (
     CSV_HEADER,
@@ -289,6 +290,15 @@ class TestClosedFormAudit:
         )
         same, checks = validate_closed_boundary(problem, "none")
         assert same is problem and checks == []
+
+    def test_registry_and_audit_share_one_comparison(self, monkeypatch):
+        monkeypatch.setattr(harness, "sech_boundary", lambda x, radius: 0.5 + 0.0 * x)
+        monkeypatch.setattr(harness, "_REGISTRY", None)
+        reg = registry()
+        assert reg["dirichlet-sech"].build(5.0).problem.closed_boundary_term is None
+        assert reg["dirichlet-mixed-kernel"].build(5.0).problem.closed_boundary_term is not None
+        failing = [c.label for c in audit_closed_forms() if not c.ok]
+        assert failing == ["sech-boundary[i=0]", "sech-boundary[i=16]"]
 
     def test_wrong_tail_mass_is_demoted(self, caplog):
         kernel = dataclasses.replace(

@@ -2,8 +2,8 @@
 
 Every fast member (FFT matvec, O(n) norm, T. Chan circulant, the Lanczos
 and Durbin eigenvalue bracket) is checked against the dense matrix it
-stands for, on random columns and boundary blocks, odd and even sizes,
-with and without boundary columns; dense eigvalsh is the eigenvalue oracle.
+stands for, on random columns with and without an edge column, odd and
+even sizes; dense eigvalsh is the eigenvalue oracle.
 """
 
 import tracemalloc
@@ -20,12 +20,11 @@ from nldiff.operator import MAX_DENSE_SIZE, StructuredOperator, convolve, fast_l
 
 
 def random_operator(size, rank, seed):
-    # a rank-2 block is a mirror pair, the only kind the operator accepts
+    # rank 2 carries an edge column, mirrored into the second boundary column
     rng = np.random.default_rng(seed)
     column = rng.standard_normal(size)
-    first = rng.standard_normal(size)
-    boundary = np.column_stack((first, first[::-1]))[:, :rank]
-    return StructuredOperator(column, boundary)
+    edge = rng.standard_normal(size)
+    return StructuredOperator(column, edge if rank else None)
 
 
 def smooth_part(value):
@@ -72,8 +71,8 @@ class TestAgainstDense:
         i, j = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
         want = op.column[np.abs(i - j)]
         if rank:
-            want[:, 0] -= op.boundary[:, 0]
-            want[:, -1] -= op.boundary[:, 1]
+            want[:, 0] -= op.edge
+            want[:, -1] -= op.edge[::-1]
         np.testing.assert_array_equal(dense, want)
 
 
@@ -96,7 +95,7 @@ def test_circulant_eigenvalues_are_rayleigh_quotients(size):
 @given(column=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=80))
 def test_core_min_eigenvalue_matches_eigvalsh(column):
     # relative to the spectral radius, the scale of any eigenvalue perturbation
-    op = StructuredOperator(np.array(column), np.zeros((len(column), 0)))
+    op = StructuredOperator(np.array(column))
     spectrum = np.linalg.eigvalsh(op.dense())
     scale = max(float(np.abs(spectrum).max()), 1e-300)
     assert abs(op.core_eigenvalue_bracket()[1] - spectrum[0]) <= 1e-12 * scale
@@ -144,7 +143,7 @@ def test_durbin_decides_definiteness_at_the_eigenvalue(problem_id):
     ],
 )
 def test_ritz_value_needs_no_bisection(column, passes, durbin_calls):
-    op = StructuredOperator(np.array(column), np.zeros((len(column), 0)))
+    op = StructuredOperator(np.array(column))
     low = np.linalg.eigvalsh(op.dense())[0]
     assert abs(op.core_eigenvalue_bracket()[1] - low) <= 1e-12 * abs(low)
     assert len(durbin_calls) == passes
@@ -170,7 +169,7 @@ def singular_core(size):
     column = np.zeros(size)
     column[0] = 2.0 * np.cos(np.pi / (size + 1))
     column[1] = -1.0
-    return StructuredOperator(column, np.zeros((size, 0)))
+    return StructuredOperator(column)
 
 
 @pytest.mark.parametrize("size", [2, 9, 64, 255])
@@ -220,27 +219,19 @@ def test_core_eigenvalue_memory_is_linear():
 
 
 def test_rejects_malformed_blocks():
+    with pytest.raises(ValueError, match="edge column"):
+        StructuredOperator(np.ones(4), np.ones(3))
+    with pytest.raises(ValueError, match="edge column"):
+        StructuredOperator(np.ones(4), np.ones((4, 2)))
     with pytest.raises(ValueError):
-        StructuredOperator(np.ones(4), np.ones((4, 1)))
-    with pytest.raises(ValueError):
-        StructuredOperator(np.ones(4), np.ones((3, 2)))
-    with pytest.raises(ValueError):
-        StructuredOperator(np.ones(1), np.ones((1, 0)))
-    # a mirror pair up to one ulp in one entry is still refused
-    first = np.arange(1.0, 6.0)
-    skewed = np.column_stack((first, first[::-1]))
-    skewed[1, 1] = np.nextafter(skewed[1, 1], np.inf)
-    with pytest.raises(ValueError, match="mirror"):
-        StructuredOperator(np.ones(5), skewed)
-    with pytest.raises(ValueError, match="mirror"):
-        StructuredOperator(np.ones(5), np.column_stack((first, first)))
-    # non-finite entries in mirror positions pass: the solve reports them
-    StructuredOperator(np.ones(5), np.full((5, 2), np.nan))
+        StructuredOperator(np.ones(1))
+    # non-finite edge entries pass: the solve reports them
+    StructuredOperator(np.ones(5), np.full(5, np.nan))
 
 
 def test_dense_refuses_before_allocating():
     size = 12 * MAX_DENSE_SIZE
-    op = StructuredOperator(np.ones(size), np.zeros((size, 2)))
+    op = StructuredOperator(np.ones(size), np.zeros(size))
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="refusing to materialise"):

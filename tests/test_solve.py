@@ -77,7 +77,7 @@ class TestSolve:
     def test_singular_matrix_raises_with_condition_estimate(self, sech_system):
         size = sech_system.operator.size
         broken = dataclasses.replace(
-            sech_system, operator=StructuredOperator(np.zeros(size), np.zeros((size, 0)))
+            sech_system, operator=StructuredOperator(np.zeros(size))
         )
         with pytest.raises(SolveError) as err:
             solve(broken)
@@ -264,6 +264,45 @@ def test_even_forcing_gives_an_even_solution(
     assert np.abs(values - values[::-1]).max() <= 1e-13 * np.abs(values).max()
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    variant=st.sampled_from(["dirichlet", "realline", "neumann"]),
+    kernel=st.sampled_from(sorted(_KERNELS)),
+    half_width=st.floats(min_value=1.0, max_value=20.0),
+    half_steps=st.integers(min_value=2, max_value=150),
+    bumps=st.lists(
+        st.tuples(
+            st.sampled_from([-1.0, 1.0]),
+            st.floats(min_value=0.1, max_value=1.0),
+            st.floats(min_value=-5.0, max_value=5.0),
+            st.floats(min_value=0.2, max_value=5.0),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_residual_bound_holds_under_random_forcings(
+    variant, kernel, half_width, half_steps, bumps
+):
+    # Gaussians off the origin give the forcing both an even and an odd part
+    def forcing(x):
+        x = np.asarray(x, dtype=float)
+        total = np.zeros_like(x)
+        for sign, amplitude, center, width in bumps:
+            z = (x - center) / width
+            total += sign * amplitude * np.exp(-z * z)
+        return total
+
+    problem = dataclasses.replace(
+        _variant_problem(variant, _KERNELS[kernel], half_width), forcing=forcing
+    )
+    system = assemble(problem, build_grid(half_width, 2 * half_steps))
+    fast = solve(system)
+    dense = solve(system, method="dense").values
+    assert fast.diagnostics["residual_inf"] <= fast.diagnostics["residual_bound"]
+    assert np.abs(fast.values - dense).max() <= 1e-10 * np.abs(dense).max()
+
+
 class TestSolveFaults:
     def test_cg_breakdown_on_an_indefinite_core(self, sech_system):
         # unit diagonal with 2 in the corners: the (0, n-1) block has
@@ -276,7 +315,7 @@ class TestSolveFaults:
         rhs[0], rhs[-1] = 1.0, -1.0
         broken = dataclasses.replace(
             sech_system,
-            operator=StructuredOperator(column, np.zeros((size, 0))),
+            operator=StructuredOperator(column),
             rhs=rhs,
         )
         with pytest.raises(SolveError, match="broke down") as err:
