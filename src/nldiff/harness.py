@@ -209,6 +209,9 @@ _MIXED = mixed_exponential_kernel()
 _SECH_FORCING_CERT = DecayCertificate(0.9, 5.0)
 _ALGEBRAIC_CERT = PowerDecayCertificate(4.0, 3.5)
 _JUMP_CERT = PowerDecayCertificate(4.0, 1.0)
+# relative gap (against max(1, |reference|)) a closed form may keep from
+# quadrature before the audit drops it
+_AUDIT_TOL = 1e-6
 _SQUARE_DECAY = DecayModel(2.0)
 
 
@@ -277,7 +280,7 @@ def _keep_or_demote(
 
 
 def validate_closed_boundary(
-    problem: DirichletProblem, label: str, tol: float = 1e-6
+    problem: DirichletProblem, label: str
 ) -> tuple[DirichletProblem, list[ClosedFormCheck]]:
     """Compare a problem's closed boundary term against quadrature; on
     disagreement the closed form is dropped so quadrature wins."""
@@ -291,13 +294,11 @@ def validate_closed_boundary(
             np.asarray(problem.closed_boundary_term(np.asarray([grid.node(i)]), grid.weight_radius))[0]
         )
         reference = dirichlet_boundary_term(stripped, grid, i)
-        checks.append(ClosedFormCheck("%s[i=%d]" % (label, i), closed, reference, tol))
+        checks.append(ClosedFormCheck("%s[i=%d]" % (label, i), closed, reference, _AUDIT_TOL))
     return _keep_or_demote(problem, "closed_boundary_term", checks, "closed form", "boundary term")
 
 
-def validate_closed_tail_mass(
-    kernel: Kernel, label: str, tol: float = 1e-6
-) -> tuple[Kernel, list[ClosedFormCheck]]:
+def validate_closed_tail_mass(kernel: Kernel, label: str) -> tuple[Kernel, list[ClosedFormCheck]]:
     if kernel.closed_tail_mass is None:
         return kernel, []
     checks = [
@@ -305,7 +306,7 @@ def validate_closed_tail_mass(
             "%s[radius=%g]" % (label, radius),
             kernel.closed_tail_mass(radius),
             tail_mass(kernel.without_closed_forms(), radius),
-            tol,
+            _AUDIT_TOL,
         )
         for radius in (5.0, 10.0)
     ]

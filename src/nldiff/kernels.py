@@ -1,22 +1,24 @@
 """Convolution kernels for the nonlocal operator and their validation.
 
 A kernel is an even, integrable weight nu with exponentially decaying tails.
-The discretization needs more than point values: the interior weights use
-the second antiderivative F (F'' = nu, F -> 0 at infinity) and the edge
-weights use the first antiderivative F' as well, so both are carried as
-optional closed forms.  When they are absent the grid layer falls back to
-quadrature.
-
-Sign conventions for the antiderivatives: F is even with F(y) -> 0 as
-y -> +inf, and F' is odd with F'(y) -> 0 as y -> +inf.  Concretely
+The interior weights use the second antiderivative F (F'' = nu) and the edge
+weights the first, F'; both are optional closed forms, like the tail mass
+and the truncation moments, and the quadrature route stands in for any that
+is absent.  F is even and F' odd, both -> 0 as y -> +inf:
 F(y) = integral over s in [y, inf) of (s - y) nu(s) ds for y >= 0.
+
+The built-in kernels are sums of terms c exp(-a |y|), and one constructor
+derives all their closed forms and decay facts from the (c, a) pairs.
+`build_kernel` checks a declared decay rate and constant against
+|nu(y)| exp(rate y) out to the truncation points the certificates use.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -39,8 +41,16 @@ __all__ = [
 
 
 # the derived decay constant is this many times the probed peak of
-# |nu(y)| exp(rate y)
+# |nu(y)| exp(rate y); the probe's step is 0.177 / rate and exp(0.177) < 1.25,
+# so the margin also covers the gaps between probe points where |nu| falls
 _DECAY_MARGIN = 1.25
+# a declared constant may lie this far (relative) below the probed peak
+_DECAY_ROUNDING = 1e-9
+# the probe ends where exp(-rate y) leaves the normal floats, past the
+# truncation points of the tail integrals' 1e-300 tolerance floor (about
+# (693 + log(constant / rate)) / rate)
+_TINY = float(np.finfo(float).tiny)
+_PROBE_END = -math.log(_TINY)
 
 
 class SignClass(enum.Enum):
@@ -60,6 +70,7 @@ class Kernel:
     antiderivative_first: Callable[[np.ndarray], np.ndarray] | None = None
     antiderivative_second: Callable[[np.ndarray], np.ndarray] | None = None
     closed_tail_mass: Callable[[float], float] | None = None
+    # (h, index) -> moment_f for index 1, 3 or 4; moment_f derives index 2
     closed_moments: Callable[[float, int], float] | None = None
     # (center, radius, exponent) -> int_radius^inf |center + s|^-exponent nu(s) ds
     closed_exterior_moment: Callable[[np.ndarray, float, float], np.ndarray] | None = None
@@ -111,7 +122,11 @@ def build_kernel(
     sign_changes: Sequence[float] = (),
     name: str = "custom",
 ) -> Kernel:
-    """Construct a kernel, deriving the decay constant and L1 norm up front.
+    """Construct a kernel, checking its decay and deriving the L1 norm up front.
+
+    |nu(y)| exp(decay_rate y) is probed out to y = 708 / decay_rate: a ratio
+    that still grows there makes the rate false, and a declared constant
+    below its peak is false; without one the constant is 1.25 times the peak.
 
     The L1 norm is computed once here (not lazily) so that kernel objects
     are safe to share across worker threads without hidden first-call
@@ -119,21 +134,33 @@ def build_kernel(
     """
     if decay_rate <= 0:
         raise ValueError("decay_rate must be positive")
-    probe = np.linspace(1e-9, 40.0 / decay_rate, 4001)
-    ratio = np.abs(np.asarray(evaluate(probe), dtype=float)) * np.exp(decay_rate * probe)
+    probe = np.linspace(1e-9, _PROBE_END / decay_rate, 4001)
+    with np.errstate(over="ignore"):
+        values = np.abs(np.asarray(evaluate(probe), dtype=float))
+        # log(|nu(y)| exp(rate y)), skipping zero and subnormal values of nu
+        # (a NaN is kept and fails the rate check)
+        kept = ~(values < _TINY)
+        log_ratio = np.log(values[kept]) + decay_rate * probe[kept]
+        far = probe[kept] >= 0.75 * probe[-1]
+        near_peak, far_peak = [np.max(log_ratio[s], initial=-math.inf) for s in (~far, far)]
+        near_ratio, far_ratio = np.exp([near_peak, far_peak])
     # the derived constant allows the ratio 1.25 times its probed peak; a
     # ratio that still grows by more than that over the last quarter of the
     # probe outgrows any constant read off it, and the rate is false
-    far = probe >= 30.0 / decay_rate
-    near_peak, far_peak = ratio[~far].max(), ratio[far].max()
-    if not far_peak <= _DECAY_MARGIN * near_peak:
+    if not far_peak <= near_peak + math.log(_DECAY_MARGIN):
         raise ValueError(
             "decay_rate %.6g is false: |nu(y)| exp(%.6g y) peaks at %.3g below "
             "y = %.3g and at %.3g beyond"
-            % (decay_rate, decay_rate, near_peak, probe[far][0], far_peak)
+            % (decay_rate, decay_rate, near_ratio, 0.75 * probe[-1], far_ratio)
         )
+    peak = float(max(near_ratio, far_ratio))
     if decay_constant is None:
-        decay_constant = float(ratio.max()) * _DECAY_MARGIN + 1e-300
+        decay_constant = peak * _DECAY_MARGIN + 1e-300
+    elif not peak <= decay_constant * (1.0 + _DECAY_ROUNDING):
+        raise ValueError(
+            "decay_constant %.6g is false: |nu(y)| exp(%.6g y) reaches %.6g on the probe"
+            % (decay_constant, decay_rate, peak)
+        )
     cert = DecayCertificate(decay_rate, decay_constant)
     breaks = tuple(float(s) for s in sign_changes)
     norm = adaptive_quad(
@@ -160,48 +187,15 @@ def build_kernel(
     )
 
 
-def _laplace_moments(h: float, index: int) -> float:
-    if index == 1:
-        return 0.5 * _exp_moment(1.0, 2, h) / (h * h)
-    if index == 2:
-        return h ** 4 * _laplace_moments(h, 1)
-    if index == 3:
-        return 0.5 * _exp_moment(1.0, 4, h)
-    if index == 4:
-        return h * h * 0.5 * math.exp(-h)
-    raise ValueError("moment index must be 1, 2, 3 or 4")
-
-
-def laplace_kernel() -> Kernel:
-    """nu(y) = exp(-|y|) / 2, the unit-variance exponential kernel."""
-
-    def nu(y):
-        return 0.5 * np.exp(-np.abs(y))
-
-    def anti_first(y):
-        y = np.asarray(y, dtype=float)
-        return -0.5 * np.sign(y) * np.exp(-np.abs(y))
-
-    def anti_second(y):
-        return 0.5 * np.exp(-np.abs(y))
-
-    def exterior_moment(center, radius, exponent):
-        # substitute t = center + s: e^center / 2 * int_a^inf t^-p e^-t dt
-        arg = radius + np.asarray(center, dtype=float)
-        return 0.5 * np.exp(center) * arg ** (1.0 - exponent) * exp_int(exponent, arg)
-
-    return build_kernel(
-        nu,
-        decay_rate=1.0,
-        decay_constant=0.5,
-        sign_class=SignClass.NONNEGATIVE,
-        antiderivative_first=anti_first,
-        antiderivative_second=anti_second,
-        closed_tail_mass=lambda r: math.exp(-r),
-        closed_moments=_laplace_moments,
-        closed_exterior_moment=exterior_moment,
-        name="laplace-exponential",
-    )
+def _exp_sum(terms: Sequence[tuple[float, float]], y, exp):
+    """The sum of c exp(-a |y|) over the (c, a) terms, with exp = np.exp or math.exp."""
+    # |y| is taken per term: holding it across the loop made a Laplace call
+    # on 30,000 points about 1.5 times slower
+    c, a = terms[0]
+    total = c * exp(-a * abs(y))
+    for c, a in terms[1:]:
+        total += c * exp(-a * abs(y))
+    return total
 
 
 def _exp_moment(a: float, m: int, h: float) -> float:
@@ -225,28 +219,60 @@ def _exp_moment(a: float, m: int, h: float) -> float:
     return value
 
 
-_MIXED_ZERO = math.log(4.0 / 3.0)
+def _exponential_sum_kernel(
+    terms: Sequence[tuple[float, float]], sign_changes: Sequence[float], name: str
+) -> Kernel:
+    """nu(y) = sum of c exp(-a |y|) over the (c, a) terms, every a > 0, with
+    every closed form derived from the terms.
+
+    ``sign_changes`` are the positive zeros of nu; with none the kernel is
+    declared nonnegative, otherwise sign-changing with positive tails.
+    """
+    first = tuple((c / a, a) for c, a in terms)
+    second = tuple((c / (a * a), a) for c, a in terms)
+    mass = tuple((2.0 * c / a, a) for c, a in terms)
+    zeros = tuple(float(s) for s in sign_changes)
+
+    def anti_first(y):
+        return -np.sign(y) * _exp_sum(first, y, np.exp)
+
+    def moments(h: float, index: int) -> float:
+        if index == 4:
+            # nu keeps one sign between h, the zeros beyond it and infinity,
+            # and int_p^q nu = G(p) - G(q) for G = -F' on y > 0, G(inf) = 0
+            edges = [h] + [s for s in zeros if s > h] + [math.inf]
+            g = [_exp_sum(first, p, math.exp) for p in edges]
+            return h * h * sum(abs(p - q) for p, q in zip(g, g[1:]))
+        power = 2 if index == 1 else 4
+        total = 0.0
+        for c, a in terms:
+            total += c * _exp_moment(a, power, h)
+        return total / (h * h) if index == 1 else total
+
+    return build_kernel(
+        partial(_exp_sum, terms, exp=np.exp),
+        decay_rate=min(a for _, a in terms),
+        decay_constant=sum(abs(c) for c, _ in terms),
+        sign_class=SignClass.MIXED_WITH_POSITIVE_TAIL if zeros else SignClass.NONNEGATIVE,
+        antiderivative_first=anti_first,
+        antiderivative_second=partial(_exp_sum, second, exp=np.exp),
+        closed_tail_mass=partial(_exp_sum, mass, exp=math.exp),
+        closed_moments=moments,
+        sign_changes=tuple(-s for s in reversed(zeros)) + zeros,
+        name=name,
+    )
 
 
-def _mixed_moments(h: float, index: int) -> float:
-    if index == 1:
-        return (1.5 * _exp_moment(1.0, 2, h) - 2.0 * _exp_moment(2.0, 2, h)) / (h * h)
-    if index == 2:
-        return h ** 4 * _mixed_moments(h, 1)
-    if index == 3:
-        return 1.5 * _exp_moment(1.0, 4, h) - 2.0 * _exp_moment(2.0, 4, h)
-    if index == 4:
-        # integral of |nu| beyond h; nu changes sign once, at log(4/3)
-        def positive_tail(a: float) -> float:
-            return 1.5 * math.exp(-a) - math.exp(-2.0 * a)
+def _laplace_exterior_moment(center, radius, exponent):
+    # substitute t = center + s: e^center / 2 * int_a^inf t^-p e^-t dt
+    arg = radius + np.asarray(center, dtype=float)
+    return 0.5 * np.exp(center) * arg ** (1.0 - exponent) * exp_int(exponent, arg)
 
-        if h >= _MIXED_ZERO:
-            return h * h * positive_tail(h)
-        anti_h = -1.5 * math.exp(-h) + math.exp(-2.0 * h)
-        anti_z = -1.5 * math.exp(-_MIXED_ZERO) + math.exp(-2.0 * _MIXED_ZERO)
-        negative_part = -(anti_z - anti_h)
-        return h * h * (negative_part + positive_tail(_MIXED_ZERO))
-    raise ValueError("moment index must be 1, 2, 3 or 4")
+
+def laplace_kernel() -> Kernel:
+    """nu(y) = exp(-|y|) / 2, the unit-variance exponential kernel."""
+    kernel = _exponential_sum_kernel([(0.5, 1.0)], (), "laplace-exponential")
+    return replace(kernel, closed_exterior_moment=_laplace_exterior_moment)
 
 
 def mixed_exponential_kernel() -> Kernel:
@@ -255,31 +281,8 @@ def mixed_exponential_kernel() -> Kernel:
     Unit mass but not pointwise nonnegative; its stability rests on the
     positivity of the cosine transform rather than of nu itself.
     """
-
-    def nu(y):
-        a = np.abs(y)
-        return 1.5 * np.exp(-a) - 2.0 * np.exp(-2.0 * a)
-
-    def anti_first(y):
-        y = np.asarray(y, dtype=float)
-        a = np.abs(y)
-        return -np.sign(y) * (1.5 * np.exp(-a) - np.exp(-2.0 * a))
-
-    def anti_second(y):
-        a = np.abs(y)
-        return 1.5 * np.exp(-a) - 0.5 * np.exp(-2.0 * a)
-
-    return build_kernel(
-        nu,
-        decay_rate=1.0,
-        decay_constant=3.5,
-        sign_class=SignClass.MIXED_WITH_POSITIVE_TAIL,
-        antiderivative_first=anti_first,
-        antiderivative_second=anti_second,
-        closed_tail_mass=lambda r: 3.0 * math.exp(-r) - 2.0 * math.exp(-2.0 * r),
-        closed_moments=_mixed_moments,
-        sign_changes=(-_MIXED_ZERO, _MIXED_ZERO),
-        name="mixed-exponential",
+    return _exponential_sum_kernel(
+        [(1.5, 1.0), (-2.0, 2.0)], (math.log(4.0 / 3.0),), "mixed-exponential"
     )
 
 
@@ -288,6 +291,15 @@ def eval_kernel(kernel: Kernel, y) -> np.ndarray | float:
     if np.isscalar(y) or getattr(y, "ndim", 1) == 0:
         return float(np.asarray(out))
     return np.asarray(out, dtype=float)
+
+
+def _tail_integral(kernel: Kernel, integrand, start: float) -> float:
+    # int_start^inf of nu or |nu|, to 1e-13 of the certified tail beyond start
+    cert = kernel.decay()
+    return adaptive_quad(
+        integrand, start, math.inf, max(1e-13 * cert.tail_bound(start), 1e-300), rel=1e-12,
+        decay=cert, breakpoints=kernel.sign_changes,
+    ).value
 
 
 def moment_f(kernel: Kernel, h: float, index: int) -> float:
@@ -316,17 +328,7 @@ def moment_f(kernel: Kernel, h: float, index: int) -> float:
         return val / (h * h)
     if index == 3:
         return adaptive_quad(lambda y: y ** 4 * kernel.evaluate(y), 0.0, h, 0.0, rel=1e-13).value
-    cert = kernel.decay()
-    val = adaptive_quad(
-        lambda y: np.abs(kernel.evaluate(y)),
-        h,
-        math.inf,
-        max(1e-13 * cert.tail_bound(h), 1e-300),
-        rel=1e-12,
-        decay=cert,
-        breakpoints=kernel.sign_changes,
-    ).value
-    return h * h * val
+    return h * h * _tail_integral(kernel, lambda y: np.abs(kernel.evaluate(y)), h)
 
 
 def tail_mass(kernel: Kernel, support_radius: float) -> float:
@@ -335,13 +337,7 @@ def tail_mass(kernel: Kernel, support_radius: float) -> float:
         raise ValueError("support radius must be nonnegative")
     if kernel.closed_tail_mass is not None:
         return kernel.closed_tail_mass(support_radius)
-    cert = kernel.decay()
-    half = adaptive_quad(
-        kernel.evaluate, support_radius, math.inf,
-        max(1e-13 * cert.tail_bound(support_radius), 1e-300), rel=1e-12,
-        decay=cert, breakpoints=kernel.sign_changes,
-    ).value
-    return 2.0 * half
+    return 2.0 * _tail_integral(kernel, kernel.evaluate, support_radius)
 
 
 @dataclass(frozen=True)

@@ -315,17 +315,13 @@ def solve(system: DiscreteSystem, method: str = "structured") -> Solution:
     )
 
 
-def evaluate_solution(
-    solution: Solution,
-    x,
-    exterior_data: Callable[[np.ndarray], np.ndarray] | None = None,
-):
+def evaluate_solution(solution: Solution, x):
     """Reconstruct the solution at arbitrary points.
 
     Inside the window the node values are interpolated linearly (exact at
     the nodes).  Outside, a decay tail extends the edge values continuously;
-    a Dirichlet solution defers to its exterior data instead, and evaluating
-    it without exterior data is an error.
+    a Dirichlet solution defers to the exterior data it was solved with, and
+    evaluating it without that data is an error.
     """
     x_arr = np.asarray(x, dtype=float)
     scalar = x_arr.ndim == 0
@@ -335,7 +331,7 @@ def evaluate_solution(
     nodes = grid.spacing * solution.indices
 
     if solution.variant == "dirichlet":
-        data = exterior_data if exterior_data is not None else solution.exterior_data
+        data = solution.exterior_data
         if data is None:
             raise ValueError("dirichlet solution needs exterior data for evaluation")
         xp = np.concatenate([[-w], nodes, [w]])

@@ -5,15 +5,20 @@ path) and against a handful of values frozen from scipy.integrate.quad.
 """
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nldiff.grids import build_grid, compute_weights
 from nldiff.harness import registry
 from nldiff.kernels import (
     SignClass,
+    _exp_moment,
+    _exponential_sum_kernel,
     build_kernel,
     eval_kernel,
     laplace_kernel,
@@ -223,6 +228,51 @@ def test_build_kernel_rejects_a_false_decay_rate():
     assert abs(honest.norm_l1 - 1.0) <= 1e-12
 
 
+def test_build_kernel_rejects_a_decay_constant_below_the_peak():
+    # 0.5 e^{-|y|} has |nu(y)| e^{y} = 0.5 everywhere; a constant of 1e-6
+    # would certify a norm_l1 that is off by 1e-7
+    with pytest.raises(ValueError, match=r"decay_constant 1e-06 is false: .* reaches 0\.5 "):
+        build_kernel(
+            lambda y: 0.5 * np.exp(-np.abs(y)),
+            decay_rate=1.0,
+            decay_constant=1e-6,
+            sign_class=SignClass.NONNEGATIVE,
+        )
+    # a constant equal to the peak builds despite the rounding of the probe
+    exact = build_kernel(
+        lambda y: 0.5 * np.exp(-np.abs(y)),
+        decay_rate=1.0,
+        decay_constant=0.5,
+        sign_class=SignClass.NONNEGATIVE,
+    )
+    assert exact.decay_constant == 0.5
+
+
+def test_build_kernel_probes_out_to_the_truncation_points():
+    # the second term overtakes e^{-|y|} near y = 92: |nu(y)| e^{y} is 52 at
+    # y = 100, far past the y = 40 a shorter probe would stop at
+    with pytest.raises(ValueError, match="decay_rate 1 is false") as caught:
+        build_kernel(
+            lambda y: 0.5 * np.exp(-np.abs(y)) + 1e-20 * np.exp(-np.abs(y) / 2.0),
+            decay_rate=1.0,
+            sign_class=SignClass.NONNEGATIVE,
+        )
+    peaks = re.search(r"peaks at (\S+) below y = 531 and at (\S+) beyond", str(caught.value))
+    near, far = float(peaks.group(1)), float(peaks.group(2))
+    assert 1e90 < near < far
+
+
+def test_decay_probe_skips_underflow_without_warnings():
+    # 1 / cosh overflows in cosh near y = 710, inside the probe at rate 1/2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kernel = build_kernel(
+            lambda y: 1.0 / (np.pi * np.cosh(y)), decay_rate=0.5, sign_class=SignClass.NONNEGATIVE
+        )
+    assert abs(kernel.norm_l1 - 1.0) <= 1e-12
+    assert 1.0 / np.pi <= kernel.decay_constant <= 1.25 * 2.0 / np.pi
+
+
 def test_true_decay_rates_still_build():
     kernels = [laplace_kernel(), mixed_exponential_kernel()]
     kernels += [entry.build(10.0).problem.kernel for entry in registry().values()]
@@ -267,3 +317,73 @@ def test_tail_mass_routes_agree(radius):
     closed = tail_mass(kernel, radius)
     quad = tail_mass(kernel.without_closed_forms(), radius)
     assert abs(closed - quad) <= 1e-9 * abs(closed)
+
+
+# the hand-written formulas the built-ins carried before they were derived
+# from their (c, a) terms
+_Z = math.log(4.0 / 3.0)
+_ORACLES = {
+    "laplace": dict(
+        nu=lambda y: 0.5 * np.exp(-np.abs(y)),
+        first=lambda y: -0.5 * np.sign(y) * np.exp(-np.abs(y)),
+        second=lambda y: 0.5 * np.exp(-np.abs(y)),
+        tail=lambda r: math.exp(-r),
+        m1=lambda h: 0.5 * _exp_moment(1.0, 2, h) / (h * h),
+        m3=lambda h: 0.5 * _exp_moment(1.0, 4, h),
+    ),
+    "mixed": dict(
+        nu=lambda y: 1.5 * np.exp(-np.abs(y)) - 2.0 * np.exp(-2.0 * np.abs(y)),
+        first=lambda y: -np.sign(y) * (1.5 * np.exp(-np.abs(y)) - np.exp(-2.0 * np.abs(y))),
+        second=lambda y: 1.5 * np.exp(-np.abs(y)) - 0.5 * np.exp(-2.0 * np.abs(y)),
+        tail=lambda r: 3.0 * math.exp(-r) - 2.0 * math.exp(-2.0 * r),
+        m1=lambda h: (1.5 * _exp_moment(1.0, 2, h) - 2.0 * _exp_moment(2.0, 2, h)) / (h * h),
+        m3=lambda h: 1.5 * _exp_moment(1.0, 4, h) - 2.0 * _exp_moment(2.0, 4, h),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ["laplace", "mixed"])
+def test_builtins_match_their_hand_written_formulas_bit_for_bit(name, laplace, mixed):
+    kernel = laplace if name == "laplace" else mixed
+    oracle = _ORACLES[name]
+    ys = np.concatenate([np.linspace(-30.0, 30.0, 1201), [0.0, _Z, -_Z, 1e-300]])
+    np.testing.assert_array_equal(kernel.evaluate(ys), oracle["nu"](ys))
+    np.testing.assert_array_equal(kernel.antiderivative_first(ys), oracle["first"](ys))
+    np.testing.assert_array_equal(kernel.antiderivative_second(ys), oracle["second"](ys))
+    for radius in (0.0, 0.1, _Z, 1.0, 5.0, 10.0, 40.0):
+        assert tail_mass(kernel, radius) == oracle["tail"](radius)
+    for h in (1e-3, 0.01, 5.0 / 32.0, 0.25, _Z, 0.5, 1.0, 3.0):
+        assert moment_f(kernel, h, 1) == oracle["m1"](h)
+        assert moment_f(kernel, h, 2) == h ** 4 * oracle["m1"](h)
+        assert moment_f(kernel, h, 3) == oracle["m3"](h)
+
+
+def test_builtins_derive_their_decay_and_sign_facts(laplace, mixed):
+    assert (laplace.decay_rate, laplace.decay_constant) == (1.0, 0.5)
+    assert (mixed.decay_rate, mixed.decay_constant) == (1.0, 3.5)
+    assert laplace.sign_class is SignClass.NONNEGATIVE and laplace.sign_changes == ()
+    assert laplace.closed_exterior_moment is not None
+    assert mixed.closed_exterior_moment is None
+
+
+def test_a_three_term_sum_matches_the_quadrature_route():
+    # nu = e^{-y} (1.5 - 3.5 x + x^2) with x = e^{-y}: the factor is
+    # (x - 1/2)(x - 3), so nu < 0 below log 2 and > 0 beyond
+    kernel = _exponential_sum_kernel(
+        [(1.5, 1.0), (-3.5, 2.0), (1.0, 3.0)], (math.log(2.0),), "three-term"
+    )
+    assert kernel.sign_class is SignClass.MIXED_WITH_POSITIVE_TAIL
+    assert kernel.sign_changes == (-math.log(2.0), math.log(2.0))
+    assert (kernel.decay_rate, kernel.decay_constant) == (1.0, 6.0)
+    reference = kernel.without_closed_forms()
+    for radius in (0.3, 1.0, 5.0, 10.0):
+        closed, quad = tail_mass(kernel, radius), tail_mass(reference, radius)
+        assert abs(closed - quad) <= 1e-12 * abs(quad)
+    for h in (0.05, 0.5, 1.0, 2.0):
+        for index in (1, 3, 4):
+            closed, quad = moment_f(kernel, h, index), moment_f(reference, h, index)
+            assert abs(closed - quad) <= 1e-12 * abs(quad)
+    grid = build_grid(5.0, 64)
+    closed = compute_weights(kernel, grid, method="closed").weights
+    quad = compute_weights(kernel, grid, method="quadrature").weights
+    np.testing.assert_allclose(closed, quad, rtol=0.0, atol=1e-12 * np.abs(quad).max())
