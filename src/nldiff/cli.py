@@ -8,6 +8,7 @@ report stability diagnostics for one grid.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -111,7 +112,9 @@ def _cmd_stability(args: argparse.Namespace) -> int:
     return 0 if report.stable else 1
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="nldiff",
         description="quadrature solver for steady nonlocal diffusion on the line",
@@ -144,8 +147,11 @@ def main(argv: list[str] | None = None) -> int:
     p_stab.add_argument("--L", type=float, required=True)
     p_stab.add_argument("--M", type=int, required=True)
     p_stab.set_defaults(func=_cmd_stability)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -156,17 +156,25 @@ class StructuredOperator:
         return float(sums.max())
 
     def circulant_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of T. Chan's optimal circulant approximation of T.
+        """Samples sigma(2 pi j / m) of the Fejer mean of T's symbol, rfft order.
 
-        They are Rayleigh quotients of T, so they lie in T's spectrum range:
+        sigma(theta) = c_0 + 2 sum_{0<k<n} (1 - k/n) c_k cos(k theta), at the
+        m = fast_length(n) frequencies: the eigenvalues of a length-m
+        circulant C_m, which at m = n is T. Chan's optimal circulant.
+        sigma(theta) is the Rayleigh quotient of T at the normalised Fourier
+        vector of frequency theta, so the samples lie in T's spectrum range:
         all positive whenever T is positive definite, and their ratio bounds
-        T's spectral condition number from below.  Returned in rfft order.
+        T's spectral condition number from below.  The tapered two-sided
+        column is folded mod m and transformed once.
         """
         n = self.size
-        k = np.arange(n)
-        wrapped = np.concatenate(([0.0], self.column[:0:-1]))
-        first = ((n - k) * self.column + k * wrapped) / n
-        return np.fft.rfft(first).real
+        m = fast_length(n)
+        tapered = self.column * ((n - np.arange(n)) / n)
+        folded = np.zeros(m)
+        folded[:n] = tapered
+        # lags -1 .. -(n-1) wrap to m-1 .. m-n+1
+        folded[m - n + 1 :] += tapered[:0:-1]
+        return np.fft.rfft(folded).real
 
     def _refuse_large_dense(self) -> None:
         n = self.size

@@ -1,18 +1,24 @@
 """Structured solves, solution reconstruction, and stability diagnostics.
 
 The default solve never forms a matrix.  The symmetric Toeplitz core T is
-solved by conjugate gradients preconditioned with T. Chan's optimal
-circulant (Chan 1988; Chan and Ng, SIAM Review 38, 1996), which is positive
-definite whenever T is, the sign-changing mixed kernel included; every
-product goes through the operator's FFT matvec.  The whole-line and
-flux-closure systems N = T - B E^T add two boundary columns, handled by
-Sherman-Morrison-Woodbury.  The columns mirror each other, B = [b_0, J b_0],
-and J T = T J, so one batched CG run for b and b_0 gives T^{-1} J b_0 as the
-reversed T^{-1} b_0, and the 2 x 2 capacitance splits into an even and an
-odd scalar.  Dirichlet systems run the same code with no boundary columns.
-Dense LU remains as the explicit oracle `solve(system, method="dense")`.
-Either way the solver verifies the residual with the fast matvec and
-refuses to return a solution that does not satisfy it.
+solved by conjugate gradients.  The preconditioner samples the Fejer mean
+of T's symbol, sigma(theta) = c_0 + 2 sum_{k<n} (1 - k/n) c_k cos(k theta),
+at the m = fast_length(n) frequencies 2 pi j / m, and applies the leading
+n x n block of the inverse of the length-m circulant with those
+eigenvalues: one real FFT pair of the 5-smooth length m, about n.  At
+m = n this is T. Chan's optimal circulant (Chan 1988; Chan and Ng, SIAM
+Review 38, 1996).  Each sample is a Rayleigh quotient of T, so the
+preconditioner is positive definite whenever T is, the sign-changing mixed
+kernel included.  Every product with T goes through the operator's FFT
+matvec.  The whole-line and flux-closure systems N = T - B E^T add two
+boundary columns, handled by Sherman-Morrison-Woodbury.  The columns mirror
+each other, B = [b_0, J b_0], and J T = T J, so one batched CG run for b
+and b_0 gives T^{-1} J b_0 as the reversed T^{-1} b_0, and the 2 x 2
+capacitance splits into an even and an odd scalar.  Dirichlet systems run
+the same code with no boundary columns.  Dense LU remains as the explicit
+oracle `solve(system, method="dense")`.  Either way the solver verifies the
+residual with the fast matvec and refuses to return a solution that does
+not satisfy it.
 
 The stability report samples the operator symbol on the cosine modes of the
 weight support, j = 0..M with R = M h the weight support radius:
@@ -56,7 +62,7 @@ import numpy as np
 from .assembly import DecayModel, DiscreteSystem
 from .grids import Grid
 from .kernels import Kernel, tail_mass
-from .operator import StructuredOperator
+from .operator import StructuredOperator, fast_length
 from .quadrature import versine_transform
 
 __all__ = [
@@ -83,9 +89,10 @@ class SolveError(RuntimeError):
     """Linear solve failed or its residual check did not hold.
 
     condition_estimate is the 1-norm condition number on the dense route;
-    on the structured route it is the condition number of the circulant
-    preconditioner, a lower bound on the core's spectral condition number,
-    and inf when the core is not positive definite.  iterations and residual
+    on the structured route it is the ratio of the largest to the smallest
+    circulant sample, each a Rayleigh quotient of the core, so a lower
+    bound on the core's spectral condition number, and inf when the core
+    is not positive definite.  iterations and residual
     describe where the solve stopped.
     """
 
@@ -128,23 +135,21 @@ def _circulant_condition(eigenvalues: np.ndarray) -> float:
 def _circulant_preconditioner(
     operator: StructuredOperator, eigenvalues: np.ndarray
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """r -> C^{-1} r for the circulant C with these eigenvalues (rfft order).
+    """r -> P r, P the leading n x n block of C_m^{-1}.
 
-    n = M +- 1 is odd and often has a large prime factor, so a length-n FFT
-    can cost ten times one of 5-smooth length.  C^{-1} is itself a
-    circulant: its first column is taken once, and each application is a
-    linear convolution at the operator's 5-smooth padded length (at least
-    2n - 1, so nothing wraps) folded mod n.
+    C_m is the length-m circulant whose eigenvalues (rfft order) are the
+    Fejer-mean samples of `StructuredOperator.circulant_eigenvalues`, m =
+    fast_length(n).  P is a principal block of a symmetric positive definite
+    matrix, hence itself one.  Each application zero-pads r to the 5-smooth
+    length m, divides by the eigenvalues and keeps the first n entries: one
+    real FFT pair of length m, about n.
     """
     n = operator.size
-    padded = operator._padded
-    spectrum = np.fft.rfft(np.fft.irfft(1.0 / eigenvalues, n), padded)
+    m = fast_length(n)
+    inverse = 1.0 / eigenvalues
 
     def precondition(r):
-        line = np.fft.irfft(np.fft.rfft(r, padded, axis=-1) * spectrum, padded, axis=-1)
-        out = line[..., :n]
-        out[..., : n - 1] += line[..., n : 2 * n - 1]
-        return out
+        return np.fft.irfft(np.fft.rfft(r, m, axis=-1) * inverse, m, axis=-1)[..., :n]
 
     return precondition
 
@@ -154,22 +159,27 @@ def _preconditioned_cg(
 ) -> tuple[np.ndarray, int]:
     """Solve T x = b for each row b of rhs, all rows in one batched run.
 
-    Rows drop out of the batch as they converge.  A curvature p^T T p that
-    is not positive is a breakdown: T is not positive definite, and
-    SolveError is raised.  Non-finite data ends the run early; the residual
-    check in `solve` then refuses the result.
+    The active rows live in contiguous arrays.  A row whose squared residual
+    norm falls to its squared goal is written back to the solution, and
+    only then is the batch compacted.  A curvature p^T T p that is not
+    positive is a breakdown: T is not positive definite, and SolveError is
+    raised.  Non-finite data ends the run early; the residual check in
+    `solve` then refuses the result.
     """
     precondition = _circulant_preconditioner(operator, eigenvalues)
     solution = np.zeros_like(rhs)
-    residual = rhs.copy()
-    goal = _CG_RTOL * np.linalg.norm(rhs, axis=-1)
-    active = np.flatnonzero(np.linalg.norm(residual, axis=-1) > goal)
-    direction = precondition(residual[active])
-    rz = np.einsum("ij,ij->i", residual[active], direction)
+    squared = np.einsum("ij,ij->i", rhs, rhs)
+    goal = _CG_RTOL * _CG_RTOL * squared
+    rows = np.flatnonzero(squared > goal)
+    goal, squared = goal[rows], squared[rows]
+    residual = rhs[rows]
+    values = np.zeros_like(residual)
+    direction = precondition(residual)
+    rz = np.einsum("ij,ij->i", residual, direction)
     iterations = 0
-    while active.size:
+    while rows.size:
         if iterations == _CG_MAX_ITERATIONS:
-            worst = float(np.linalg.norm(residual[active], axis=-1).max())
+            worst = math.sqrt(float(squared.max()))
             raise SolveError(
                 "conjugate gradients did not converge in %d iterations; residual %.3e"
                 % (iterations, worst),
@@ -181,7 +191,7 @@ def _preconditioned_cg(
         image = operator.core_matvec(direction)
         curvature = np.einsum("ij,ij->i", direction, image)
         if not np.all(curvature > 0.0):
-            worst = float(np.linalg.norm(residual[active], axis=-1).max())
+            worst = math.sqrt(float(squared.max()))
             raise SolveError(
                 "conjugate gradients broke down at iteration %d (curvature %.3e, "
                 "residual %.3e): the Toeplitz core is not positive definite"
@@ -191,12 +201,16 @@ def _preconditioned_cg(
                 residual=worst,
             )
         step = (rz / curvature)[:, None]
-        solution[active] += step * direction
-        residual[active] -= step * image
-        going = np.linalg.norm(residual[active], axis=-1) > goal[active]
-        active, direction, rz = active[going], direction[going], rz[going]
-        preconditioned = precondition(residual[active])
-        rz_next = np.einsum("ij,ij->i", residual[active], preconditioned)
+        values += step * direction
+        residual -= step * image
+        squared = np.einsum("ij,ij->i", residual, residual)
+        going = squared > goal
+        if not going.all():
+            solution[rows[~going]] = values[~going]
+            rows, goal, squared, rz = rows[going], goal[going], squared[going], rz[going]
+            values, residual, direction = values[going], residual[going], direction[going]
+        preconditioned = precondition(residual)
+        rz_next = np.einsum("ij,ij->i", residual, preconditioned)
         direction = preconditioned + (rz_next / rz)[:, None] * direction
         rz = rz_next
     return solution, iterations
@@ -206,8 +220,8 @@ def _solve_structured(operator: StructuredOperator, rhs: np.ndarray) -> tuple[np
     eigenvalues = operator.circulant_eigenvalues()
     if not np.all(eigenvalues > 0.0):
         raise SolveError(
-            "the Toeplitz core is not positive definite: its optimal circulant "
-            "has eigenvalue %.3e" % float(eigenvalues.min()),
+            "the Toeplitz core is not positive definite: its Rayleigh quotient "
+            "at a Fourier vector is %.3e" % float(eigenvalues.min()),
             condition_estimate=math.inf,
             iterations=0,
             residual=float(np.abs(rhs).max()),

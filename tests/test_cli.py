@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from nldiff.cli import main
+from nldiff.cli import _parser, main
 from nldiff.quadrature import adaptive_quad, adaptive_quad_many
 
 
@@ -288,3 +288,19 @@ class TestParser:
     def test_rejects_unknown_flag(self):
         with pytest.raises(SystemExit):
             main(["solve", "--problem", "dirichlet-sech", "--L", "5", "--M", "16", "--bad", "1"])
+
+    def test_consecutive_calls_share_one_parser(self, tmp_path, capsys):
+        # the tree is built once per process, and no call leaves a value
+        # behind for the next: the second solve has no --out and prints
+        dest = tmp_path / "solution.csv"
+        solve_args = ["solve", "--problem", "dirichlet-sech", "--L", "5", "--M", "16"]
+        assert main(solve_args + ["--out", str(dest)]) == 0
+        assert main(["check", "--problem", "realline-algebraic"]) == 0
+        assert parse_kv(capsys.readouterr().out)["passed"] == "true"
+        with pytest.raises(SystemExit) as err:
+            main(["solve", "--problem", "dirichlet-sech", "--L", "5"])
+        assert err.value.code == 2
+        assert "--M" in capsys.readouterr().err
+        assert main(solve_args) == 0
+        assert capsys.readouterr().out == dest.read_text()
+        assert _parser() is _parser()

@@ -1,6 +1,6 @@
 """The structured operator against its own dense materialisation.
 
-Every fast member (FFT matvec, O(n) norm, T. Chan circulant, the Lanczos
+Every fast member (FFT matvec, O(n) norm, circulant samples, the Lanczos
 and Durbin eigenvalue bracket) is checked against the dense matrix it
 stands for, on random columns with and without an edge column, odd and
 even sizes; dense eigvalsh is the eigenvalue oracle.
@@ -76,19 +76,27 @@ class TestAgainstDense:
         np.testing.assert_array_equal(dense, want)
 
 
-@pytest.mark.parametrize("size", [5, 32, 33])
+@pytest.mark.parametrize("size", [5, 32, 33, 401])
 def test_circulant_eigenvalues_are_rayleigh_quotients(size):
-    # T. Chan's circulant is F diag(F* T F) F*: eigenvalue k is the Rayleigh
-    # quotient of T at the k-th Fourier vector, hence inside T's spectrum
+    # sample k is the Rayleigh quotient of T at the normalised Fourier vector
+    # of frequency 2 pi k / m, m = fast_length(n), hence inside T's spectrum
     op = random_operator(size, 0, seed=size)
     dense = op.dense()
-    fourier = np.exp(2j * np.pi * np.outer(np.arange(size), np.arange(size)) / size)
+    m = fast_length(size)
+    fourier = np.exp(2j * np.pi * np.outer(np.arange(size), np.arange(m)) / m)
     quotients = np.einsum("ik,ij,jk->k", fourier.conj(), dense, fourier).real / size
     eigenvalues = op.circulant_eigenvalues()
+    assert eigenvalues.size == m // 2 + 1
     np.testing.assert_allclose(eigenvalues, quotients[: eigenvalues.size], atol=1e-12)
     spectrum = np.linalg.eigvalsh(dense)
     assert spectrum[0] - 1e-12 <= eigenvalues.min()
     assert eigenvalues.max() <= spectrum[-1] + 1e-12
+    if m == size:
+        # T. Chan's optimal circulant, first column ((n - k) c_k + k c_{n-k}) / n
+        k = np.arange(size)
+        wrapped = np.concatenate(([0.0], op.column[:0:-1]))
+        chan = np.fft.rfft(((size - k) * op.column + k * wrapped) / size).real
+        np.testing.assert_allclose(eigenvalues, chan, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)

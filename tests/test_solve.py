@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import circulant
 
 from nldiff.assembly import (
     DecayModel,
@@ -32,12 +33,13 @@ from nldiff.kernels import (
     mixed_exponential_kernel,
     tail_mass,
 )
-from nldiff.operator import MAX_DENSE_SIZE, StructuredOperator
+from nldiff.operator import MAX_DENSE_SIZE, StructuredOperator, fast_length
 from nldiff.quadrature import _versine_panels, adaptive_quad
 from nldiff.solve import (
     SolveError,
     Solution,
     _circulant_preconditioner,
+    _preconditioned_cg,
     evaluate_solution,
     solve,
     stability_report,
@@ -113,16 +115,21 @@ class TestStructuredRoute:
         with pytest.raises(ValueError):
             solve(sech_system, method="lu")
 
-    @pytest.mark.parametrize("size", [129, 1601, 2049, 3199])
+    @pytest.mark.parametrize("size", [129, 401, 1601, 2049, 3199])
     def test_preconditioner_matches_length_n_circulant_solve(self, size):
-        # the mixed kernel's core, whose circulant is positive definite
-        # while its column changes sign
+        # the leading n x n block of inv(C_m), C_m the dense length-m
+        # circulant of the samples, on the mixed kernel's core, whose samples
+        # are positive while its column changes sign
         case = registry()["dirichlet-mixed-kernel"].build(10.0)
         operator = assemble(case.problem, build_grid(10.0, size + 1)).operator
         assert operator.size == size
         eigenvalues = operator.circulant_eigenvalues()
+        m = fast_length(size)
+        block = np.linalg.inv(circulant(np.fft.irfft(eigenvalues, m)))[:size, :size]
+        assert np.abs(block - block.T).max() <= 1e-15 * np.abs(block).max()
+        np.linalg.cholesky(block)
         rhs = np.random.default_rng(size).standard_normal((3, size))
-        want = np.fft.irfft(np.fft.rfft(rhs, axis=-1) / eigenvalues, size, axis=-1)
+        want = rhs @ block.T
         got = _circulant_preconditioner(operator, eigenvalues)(rhs)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -149,8 +156,9 @@ class TestStructuredRoute:
 
     @pytest.mark.parametrize(
         "problem_id, bytes_per_unknown",
-        # measured 232 (336 with a CG row per boundary column) and 128
-        [("realline-algebraic", 260), ("dirichlet-sech", 160)],
+        # measured 204 and 100 with the preconditioner at the 5-smooth
+        # length m >= n (232 and 128 with it at 2n - 1 and folded)
+        [("realline-algebraic", 230), ("dirichlet-sech", 115)],
     )
     def test_solve_memory_per_unknown_at_two_to_the_sixteen(self, problem_id, bytes_per_unknown):
         case = registry()[problem_id].build(10.0)
@@ -180,6 +188,45 @@ class TestStructuredRoute:
         for system in (sech_system, line_system, neumann_system):
             solve(system)
         assert rows == [1, 2, 2]
+
+    def test_rows_leave_the_batch_at_their_own_iteration(self, line_system):
+        # a zero row never enters, a smooth row converges before a random one;
+        # compacting the batch must not disturb the rows that stay
+        operator = line_system.operator
+        eigenvalues = operator.circulant_eigenvalues()
+        x = np.linspace(-1.0, 1.0, operator.size)
+        rows = np.vstack(
+            (
+                np.zeros(operator.size),
+                np.exp(-4.0 * x * x),
+                np.random.default_rng(5).standard_normal(operator.size),
+            )
+        )
+        batched, iterations = _preconditioned_cg(operator, eigenvalues, rows)
+        alone = [_preconditioned_cg(operator, eigenvalues, row[None, :]) for row in rows]
+        assert [count for _, count in alone] == sorted({count for _, count in alone})
+        assert alone[0][1] == 0 and iterations == alone[-1][1]
+        for got, (want, _) in zip(batched, alone):
+            assert np.abs(got - want[0]).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize(
+        "problem_id, half_width, steps, most",
+        # the 22 cells of the Dirichlet and whole-line convergence sweeps
+        [
+            ("dirichlet-sech", 10.0, (800, 1600, 3200, 6400), 9),
+            ("realline-algebraic", 10.0, (200, 400, 800), 12),
+            ("realline-algebraic", 20.0, (400, 800, 1600), 14),
+            ("realline-algebraic", 40.0, (800, 1600, 3200), 17),
+            ("neumann-discontinuous", 8.0, (128, 256, 512), 10),
+            ("neumann-discontinuous", 16.0, (256, 512, 1024), 13),
+            ("neumann-discontinuous", 32.0, (512, 1024, 2048), 16),
+        ],
+    )
+    def test_cg_iterations_on_the_sweep_cells(self, problem_id, half_width, steps, most):
+        case = registry()[problem_id].build(half_width)
+        for m in steps:
+            system = assemble(case.problem, build_grid(case.solve_half_width, m))
+            assert solve(system).diagnostics["iterations"] <= most
 
     def test_dense_oracle_refuses_large_systems(self):
         case = registry()["dirichlet-sech"].build(10.0)
@@ -306,8 +353,8 @@ def test_residual_bound_holds_under_random_forcings(
 class TestSolveFaults:
     def test_cg_breakdown_on_an_indefinite_core(self, sech_system):
         # unit diagonal with 2 in the corners: the (0, n-1) block has
-        # eigenvalue -1 along e_0 - e_{n-1}, yet T. Chan's circulant is
-        # I + (2/n)(S + S^T), positive definite, so CG starts and breaks down
+        # eigenvalue -1 along e_0 - e_{n-1}, yet the circulant samples
+        # 1 + (4/n) cos((n-1) theta) are positive, so CG starts and breaks down
         size = sech_system.operator.size
         column = np.zeros(size)
         column[0], column[-1] = 1.0, 2.0
