@@ -20,11 +20,15 @@ beyond MAX_DENSE_SIZE unknowns before allocating anything.
 
 The smallest eigenvalue of T, the Dirichlet stability certificate, comes
 as a bracket in O(n) memory (`core_eigenvalue_bracket`): Lanczos on the
-FFT matvec finds a Ritz value theta >= lambda_min, and one Durbin
-recursion on T - sI (`core_is_definite`, O(n^2) time) certifies
-lambda_min >= s just below theta.  If Durbin rejects s, the same test
-bisects.  The certificate keeps the MAX_DENSE_SIZE limit, now for its
-O(n^2) time.
+FFT matvec finds a Ritz value theta >= lambda_min and its Ritz vector v.
+The lower end is chosen by the signs of the column.  A core with every
+off-diagonal entry <= 0 (a Z-matrix, as a nonnegative kernel gives) and
+v > 0 takes the Collatz-Wielandt bound min_i (T v)_i / v_i, one more FFT
+matvec less its rounding bound, in O(n log n).  Any other core takes one
+Durbin recursion on T - sI (`core_is_definite`, O(n^2) time), which
+certifies lambda_min >= s just below theta; if Durbin rejects s, the same
+test bisects.  The certificate keeps the MAX_DENSE_SIZE limit, for the
+O(n^2) time of its Durbin route.
 """
 
 from __future__ import annotations
@@ -37,14 +41,16 @@ import numpy as np
 __all__ = ["MAX_DENSE_SIZE", "StructuredOperator", "fast_length", "convolve"]
 
 # 8192^2 float64 entries are 512 MiB; beyond that a dense oracle is a
-# mistake, not a check.  The stability certificate, O(n^2) time in O(n)
-# memory, keeps the same limit.
+# mistake, not a check.  The stability certificate, whose Durbin route takes
+# O(n^2) time in O(n) memory, keeps the same limit.
 MAX_DENSE_SIZE = 8192
 
 _EPS = float(np.finfo(float).eps)
 # Lanczos basis vectors kept at most: 40 x 8 bytes per unknown
 _LANCZOS_STEPS = 40
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# weight of the Weyl sequence, in [-1/2, 1/2], beside the constant start
+_WEYL_WEIGHT = 1e-3
 # Lanczos stops once the Ritz residual is this small against ||T||
 _RITZ_TOL = 1e-13
 # c in the margin c n eps ||T|| that keeps Durbin's shift clear of rounding
@@ -199,6 +205,7 @@ class StructuredOperator:
         r = self.column[1:] / head
         m = r.size
         flipped = r[::-1].copy()
+        reflections = r.tolist()
         y = np.empty(m)
         alpha = 0.0
         beta = 1.0
@@ -207,30 +214,42 @@ class StructuredOperator:
                 if not abs(alpha) < 1.0:
                     return False
                 beta *= 1.0 - alpha * alpha
+                if beta == 0.0:
+                    # numpy's division would give alpha = +-inf or nan here,
+                    # which the next test rejects
+                    return False
+                head_y = y[:k]
                 # flipped[m - k:] is r_k .. r_1
-                alpha = -(r[k] + flipped[m - k :] @ y[:k]) / beta
-                y[:k] += alpha * y[:k][::-1]
+                alpha = -(reflections[k] + float(flipped[m - k :] @ head_y)) / beta
+                head_y += alpha * head_y[::-1]
                 y[k] = alpha
-        return bool(abs(alpha) < 1.0)
+        return abs(alpha) < 1.0
 
-    def _lanczos(self, scale: float) -> tuple[float, float]:
-        """Smallest Ritz value of T and its residual norm.
+    def _lanczos(self, scale: float) -> tuple[float, float, np.ndarray]:
+        """Smallest Ritz value of T, its residual norm and its Ritz vector.
 
         Lanczos with full reorthogonalization on the FFT matvec, at most
         _LANCZOS_STEPS basis vectors, stopping once the residual is below
-        _RITZ_TOL * scale.  T is centrosymmetric, so an even (or odd) start
-        vector would never reach the odd (or even) eigenvectors: the start
-        is a golden-ratio Weyl sequence, deterministic and with both parts.
+        _RITZ_TOL * scale.  The start is the constant vector, which lines up
+        with the smooth one-signed lowest mode of a diffusive kernel, plus a
+        small golden-ratio Weyl sequence: T is centrosymmetric, so an even
+        start would never reach the odd eigenvectors.  The iteration runs on
+        T scaled exactly by a power of two near 1 / scale, so no squared
+        norm underflows on a tiny core.  The Ritz vector has unit norm, to
+        rounding, and a nonnegative sum.
         """
         n = self.size
+        # a power of two near 1 / scale, kept finite for a subnormal scale
+        unit = math.ldexp(1.0, min(-math.frexp(scale)[1], 1000))
         steps = min(n, _LANCZOS_STEPS)
         basis = np.empty((steps, n))
         # the Rayleigh quotient basis^T T basis, filled a column per step
         projected = np.zeros((steps, steps))
-        start = (np.arange(1, n + 1) * _GOLDEN) % 1.0 - 0.5
+        start = 1.0 + _WEYL_WEIGHT * ((np.arange(1, n + 1) * _GOLDEN) % 1.0 - 0.5)
         basis[0] = start / np.linalg.norm(start)
         for j in range(steps):
             w = self.core_matvec(basis[j])
+            w *= unit
             active = basis[: j + 1]
             coefficients = active @ w
             w -= coefficients @ active
@@ -240,18 +259,71 @@ class StructuredOperator:
             ritz, vectors = np.linalg.eigh(projected[: j + 1, : j + 1])
             link = float(np.linalg.norm(w))
             residual = link * abs(float(vectors[-1, 0]))
-            if residual <= _RITZ_TOL * scale:
+            if residual <= _RITZ_TOL * scale * unit:
                 break
             if j + 1 < steps:
                 basis[j + 1] = w / link
-        return float(ritz[0]), residual
+        vector = vectors[:, 0] @ active
+        if vector.sum() < 0.0:
+            vector = -vector
+        return float(ritz[0]) / unit, residual / unit, vector
+
+    def _matvec_rounding(self, vector_norm: float) -> float:
+        """A bound on every entry of fl(T x) - T x for ||x||_2 = vector_norm.
+
+        Higham (Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+        Theorem 24.2) bounds a t-stage FFT by ||fl(F x) - F x||_2 <=
+        kappa ||F x||_2, kappa = t eta / (1 - t eta), eta = mu + gamma_4
+        (sqrt 2 + mu), with mu the twiddle factors' error, here taken as
+        eps.  The theorem covers radix 2; numpy's real transforms of the
+        5-smooth padded length m are taken as t = ceil(log2 m) such stages,
+        which the tests check against exact dot products.  The same stage
+        bounds, |Delta A_k| <= eta |A_k| with |A_t| ... |A_1| all ones, give
+        every sample of the stored symbol within kappa ||embedding||_1.
+        With F x and the symbol c-hat, the product c-hat F x rounds by
+        sqrt 2 gamma_2 (Higham, Lemma 3.5) and the inverse transform, with
+        its 1/m scaling, adds kappa + 2u; ||F^-1 z||_2 = ||z||_2 / sqrt m,
+        so to first order
+
+            ||fl(T x) - T x||_2 <= ((2 kappa + sqrt 2 gamma_2 + 2u)
+                ||c-hat||_inf + kappa ||embedding||_1) ||x||_2,
+
+        and the factor 1 + 1e-10 covers the second-order terms.
+        """
+        unit = 0.5 * _EPS
+
+        def gamma(k: int) -> float:
+            return k * unit / (1.0 - k * unit)
+
+        stages = (self._padded - 1).bit_length()
+        eta = _EPS + gamma(4) * (math.sqrt(2.0) + _EPS)
+        kappa = stages * eta / (1.0 - stages * eta)
+        magnitudes = np.abs(self.column)
+        embedding_l1 = 2.0 * float(magnitudes.sum()) - float(magnitudes[0])
+        symbol_max = float(np.abs(self._symbol).max())
+        first_order = (2.0 * kappa + math.sqrt(2.0) * gamma(2) + 2.0 * unit) * symbol_max
+        first_order += kappa * embedding_l1
+        return (1.0 + 1e-10) * first_order * vector_norm
 
     def core_eigenvalue_bracket(self) -> tuple[float, float]:
         """A certified bracket [lower, upper] around the smallest eigenvalue of T.
 
         Lanczos gives the smallest Ritz value theta, a Rayleigh quotient, so
-        lambda_min <= theta.  One Durbin pass at s = theta - delta, delta the
-        Ritz residual plus the rounding margin c n eps ||T||, certifies
+        lambda_min <= theta.  The lower end takes one of two routes.
+
+        A Z-matrix core (every off-diagonal entry <= 0, as a nonnegative
+        kernel gives) whose Ritz vector v is strictly positive needs one
+        more FFT matvec: mu I - T is nonnegative for mu >= c_0, so the
+        Collatz-Wielandt bound gives lambda_min >= min_i (T v)_i / v_i for
+        any v > 0 (Berman and Plemmons, Nonnegative Matrices in the
+        Mathematical Sciences, SIAM 1994).  The computed (T v)_i less the
+        matvec's rounding bound (`_matvec_rounding`), over v_i, rounded
+        down and never below the Gershgorin bound less the rounding margin
+        below, is the lower end.
+
+        Every other core, sign-changing or with a Ritz vector that changes
+        sign, takes one Durbin pass at s = theta - delta, delta the Ritz
+        residual plus the rounding margin c n eps ||T||, which certifies
         lambda_min >= s.  Should it reject s (Lanczos missed the lowest
         eigenvector) or Lanczos stop unconverged, the same Durbin test
         bisects between the Gershgorin bound and theta; a shift it accepts
@@ -270,10 +342,16 @@ class StructuredOperator:
         row_sums = _core_row_sums(mag)
         # the largest row sum is ||T||_inf >= ||T||_2
         scale = float(row_sums.max())
-        theta, residual = self._lanczos(scale)
+        theta, residual, vector = self._lanczos(scale)
         rounding = _DURBIN_ROUNDING * n * _EPS * scale
         # Gershgorin: no eigenvalue lies below c_0 minus an off-diagonal row sum
         lower = float(self.column[0] - (row_sums - mag[0]).max())
+        if np.all(self.column[1:] <= 0.0) and np.all(vector > 0.0):
+            margin = self._matvec_rounding(float(np.linalg.norm(vector)))
+            bound = float(((self.core_matvec(vector) - margin) / vector).min())
+            # the subtraction and the division each round by at most u
+            bound -= 2.0 * _EPS * abs(bound)
+            return max(bound, lower - rounding), theta
         upper = theta
         shift = theta - residual - rounding
         if lower < shift and self.core_is_definite(shift):

@@ -29,10 +29,10 @@ weight support, j = 0..M with R = M h the weight support radius:
 S the integral of nu over [0, R] and C_j its cosine transform there.  The
 whole table comes from one pass (`quadrature.versine_transform`): nu is
 evaluated once at the 15 Gauss nodes of equal panels with edges on the
-hat grid, so the kink of nu at 0 sits on an edge, and one FFT per Gauss
-node gives C_j for every j.  The panel count doubles until two resolutions
-agree to `tol` in every sample; their worst gap is reported as
-`symbol_error_estimate`.  The subtraction S - C_j loses about
+hat grid, so the kink of nu at 0 sits on an edge, and one batched FFT over
+the 15 Gauss nodes gives C_j for every j.  The panel count doubles until
+two resolutions agree to `tol` in every sample; their worst gap is
+reported as `symbol_error_estimate`.  The subtraction S - C_j loses about
 eps * ||nu||_1 in absolute terms, far inside `tol`.  The tail mass, which
 can sit far below that rounding level, is added apart and never cancels:
 symbol_0 is the tail mass exactly.
@@ -45,10 +45,13 @@ M = 256 and a = 0.3, both passed tol = 1e-10 with actual worst errors of
 per mode); at a = 0.351414 they were 5.8e-12 and 6.0e-9.
 
 The Dirichlet certificate brackets the smallest eigenvalue of the symmetric
-core (`StructuredOperator.core_eigenvalue_bracket`): a Lanczos Ritz value on
-the FFT matvec from above, one Durbin pass on the shifted core from below,
-in O(n) memory; the grid is stable when the lower end is positive.  The
-whole-line and flux-closure certificate is the O(n) norm ||I - N||_inf.
+core (`StructuredOperator.core_eigenvalue_bracket`) in O(n) memory: a
+Lanczos Ritz value on the FFT matvec from above; from below, for a
+nonnegative kernel (a Z-matrix core), the Collatz-Wielandt bound of the
+positive Ritz vector from one more FFT matvec, and for a sign-changing
+kernel one Durbin pass on the shifted core.  The grid is stable when the
+lower end is positive.  The whole-line and flux-closure certificate is the
+O(n) norm ||I - N||_inf.
 """
 
 from __future__ import annotations

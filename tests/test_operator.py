@@ -1,16 +1,20 @@
 """The structured operator against its own dense materialisation.
 
-Every fast member (FFT matvec, O(n) norm, circulant samples, the Lanczos
-and Durbin eigenvalue bracket) is checked against the dense matrix it
-stands for, on random columns with and without an edge column, odd and
-even sizes; dense eigvalsh is the eigenvalue oracle.
+Every fast member (FFT matvec, O(n) norm, circulant samples, the
+eigenvalue bracket on both of its routes, Collatz-Wielandt and Durbin) is
+checked against the dense matrix it stands for, on random columns with and
+without an edge column, odd and even sizes; dense eigvalsh is the
+eigenvalue oracle, and exact dot products check the matvec's rounding
+bound.
 """
 
+import contextlib
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nldiff.assembly import assemble
@@ -114,8 +118,8 @@ def registry_core(problem_id, steps, half_width=10.0):
     return assemble(case.problem, build_grid(half_width, steps)).operator
 
 
-@pytest.fixture
-def durbin_calls(monkeypatch):
+@contextlib.contextmanager
+def counted_durbin_passes():
     """The shifts every Durbin pass is asked about, in order."""
     shifts = []
     definite = StructuredOperator.core_is_definite
@@ -124,8 +128,73 @@ def durbin_calls(monkeypatch):
         shifts.append(shift)
         return definite(self, shift)
 
-    monkeypatch.setattr(StructuredOperator, "core_is_definite", counting)
-    return shifts
+    StructuredOperator.core_is_definite = counting
+    try:
+        yield shifts
+    finally:
+        StructuredOperator.core_is_definite = definite
+
+
+@pytest.fixture
+def durbin_calls():
+    with counted_durbin_passes() as shifts:
+        yield shifts
+
+
+def lanczos_settling_on(theta):
+    """A Lanczos stand-in: residual 0 at theta, a Ritz vector that changes sign.
+
+    The sign change sends every core, Z-matrix or not, down the Durbin route.
+    """
+
+    def lanczos(self, scale):
+        vector = np.ones(self.size)
+        vector[-1] = -1.0
+        return theta, 0.0, vector / np.linalg.norm(vector)
+
+    return lanczos
+
+
+def durbin_with_array_scalars(column, shift):
+    """Durbin's definiteness test with numpy scalars throughout."""
+    head = column[0] - shift
+    if not head > 0.0:
+        return False
+    r = column[1:] / head
+    m = r.size
+    flipped = r[::-1].copy()
+    y = np.empty(m)
+    alpha = 0.0
+    beta = 1.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(m):
+            if not abs(alpha) < 1.0:
+                return False
+            beta *= 1.0 - alpha * alpha
+            alpha = -(r[k] + flipped[m - k :] @ y[:k]) / beta
+            y[:k] += alpha * y[:k][::-1]
+            y[k] = alpha
+    return bool(abs(alpha) < 1.0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: registry_core("dirichlet-sech", 256).column, id="sech-256"),
+        pytest.param(lambda: registry_core("dirichlet-mixed-kernel", 256).column, id="mixed-256"),
+        pytest.param(lambda: np.array([1.0, 1.0 - 1e-16, 1.0, 1.0 - 1e-16] * 8), id="near-singular"),
+    ]
+    + [
+        pytest.param(lambda size=size: random_operator(size, 0, seed=size).column, id="random-%d" % size)
+        for size in (2, 7, 64)
+    ],
+)
+def test_durbin_decisions_match_the_array_loop(build):
+    column = build()
+    op = StructuredOperator(column)
+    spread = float(np.abs(column).sum())
+    for shift in np.linspace(-spread, spread, 101):
+        assert op.core_is_definite(float(shift)) == durbin_with_array_scalars(column, shift)
 
 
 @pytest.mark.parametrize("problem_id", ["dirichlet-sech", "dirichlet-mixed-kernel"])
@@ -163,9 +232,7 @@ def test_rejected_ritz_value_falls_back_to_bisection(monkeypatch, durbin_calls):
     op = random_operator(64, 0, seed=7)
     spectrum = np.linalg.eigvalsh(op.dense())
     scale = float(np.abs(spectrum).max())
-    monkeypatch.setattr(
-        StructuredOperator, "_lanczos", lambda self, scale: (float(spectrum[-1]), 0.0)
-    )
+    monkeypatch.setattr(StructuredOperator, "_lanczos", lanczos_settling_on(float(spectrum[-1])))
     lower, upper = op.core_eigenvalue_bracket()
     assert len(durbin_calls) > 1
     assert lower <= spectrum[0] <= upper
@@ -173,7 +240,9 @@ def test_rejected_ritz_value_falls_back_to_bisection(monkeypatch, durbin_calls):
 
 
 def singular_core(size):
-    # tridiagonal [-1, 2 cos(pi / (n+1)), -1]: lambda_min is 0 up to rounding
+    # tridiagonal [-1, 2 cos(pi / (n+1)), -1]: lambda_min is 0 up to rounding;
+    # a Z-matrix, so the bisection tests reach Durbin through a Ritz vector
+    # that changes sign
     column = np.zeros(size)
     column[0] = 2.0 * np.cos(np.pi / (size + 1))
     column[1] = -1.0
@@ -185,9 +254,7 @@ def test_bisection_lower_end_stays_below_a_zero_eigenvalue(size, monkeypatch, du
     op = singular_core(size)
     spectrum = np.linalg.eigvalsh(op.dense())
     assert abs(spectrum[0]) < 1e-14
-    monkeypatch.setattr(
-        StructuredOperator, "_lanczos", lambda self, scale: (float(spectrum[-1]), 0.0)
-    )
+    monkeypatch.setattr(StructuredOperator, "_lanczos", lanczos_settling_on(float(spectrum[-1])))
     lower, upper = op.core_eigenvalue_bracket()
     assert len(durbin_calls) > 1
     assert lower <= spectrum[0] <= upper
@@ -207,9 +274,132 @@ def test_bisection_allows_for_durbin_rounding(monkeypatch):
     monkeypatch.setattr(
         StructuredOperator, "core_is_definite", lambda self, shift: bool(shift < low + slack)
     )
-    monkeypatch.setattr(StructuredOperator, "_lanczos", lambda self, scale: (theta, 0.0))
+    monkeypatch.setattr(StructuredOperator, "_lanczos", lanczos_settling_on(theta))
     lower, upper = op.core_eigenvalue_bracket()
     assert lower <= low <= upper
+
+
+z_entry = st.one_of(st.just(0.0), st.floats(-1.0, 0.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    head=st.floats(0.0, 3.0, exclude_min=True),
+    tail=st.lists(z_entry, min_size=1, max_size=79),
+)
+# a core so small that an unscaled Lanczos residual norm underflows to 0
+@example(head=5e-324, tail=[-8.943185842921145e-237])
+def test_z_matrix_bracket_takes_the_collatz_wielandt_route(head, tail):
+    # zeros among the off-diagonal entries make reducible and diagonal cores
+    op = StructuredOperator(np.array([head] + tail))
+    spectrum = np.linalg.eigvalsh(op.dense())
+    scale = max(float(np.abs(spectrum).max()), 1e-300)
+    _, _, vector = op._lanczos(op.norm_inf())
+    with counted_durbin_passes() as shifts:
+        lower, upper = op.core_eigenvalue_bracket()
+    # theta, a Rayleigh quotient, may round below lambda_min by a few eps
+    # ||T||, so the upper end is checked to the tolerance
+    assert lower <= spectrum[0]
+    assert abs(upper - spectrum[0]) <= 1e-12 * scale
+    if np.all(vector > 0.0):
+        assert shifts == []
+    if max(tail) <= -0.05:
+        # every entry of mu I - T off the diagonal is at least 0.05, so the
+        # lowest eigenvector, its Perron vector, is well clear of 0
+        assert np.all(vector > 0.0)
+
+
+@pytest.mark.parametrize("size", [3, 9, 64])
+def test_sign_changing_column_takes_the_durbin_route(size, durbin_calls):
+    # the singular core with c_1 flipped positive has the same spectrum,
+    # its lowest eigenvector alternating in sign
+    column = singular_core(size).column.copy()
+    column[1] = 1.0
+    op = StructuredOperator(column)
+    low = np.linalg.eigvalsh(op.dense())[0]
+    lower, upper = op.core_eigenvalue_bracket()
+    assert len(durbin_calls) >= 1
+    assert lower <= low <= upper + 1e-15
+
+
+def test_positive_ritz_vector_of_a_sign_changing_core_takes_the_durbin_route(
+    monkeypatch, durbin_calls
+):
+    # positive off-diagonal entries: the top eigenvector is positive, and a
+    # Lanczos run settled on it would give Collatz-Wielandt quotients equal
+    # to lambda_max, far above lambda_min
+    column = 0.5 ** np.arange(64)
+    column[0] = 3.0
+    op = StructuredOperator(column)
+    spectrum, vectors = np.linalg.eigh(op.dense())
+    top = vectors[:, -1] * np.sign(vectors[:, -1].sum())
+    assert np.all(top > 0.0)
+    monkeypatch.setattr(
+        StructuredOperator, "_lanczos", lambda self, scale: (float(spectrum[-1]), 0.0, top)
+    )
+    lower, upper = op.core_eigenvalue_bracket()
+    assert len(durbin_calls) > 1
+    assert lower <= spectrum[0] <= upper
+
+
+def exact_row_products(column, vector, rows):
+    """Rows of T v to the nearest float: fsum of each product and its error."""
+    split = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
+    n = column.size
+    out = []
+    for i in rows:
+        a = column[np.abs(i - np.arange(n))]
+        p = a * vector
+        a_hi = a * split - (a * split - a)
+        v_hi = vector * split - (vector * split - vector)
+        a_lo, v_lo = a - a_hi, vector - v_hi
+        # Dekker: a v = p + error exactly, barring underflow
+        error = ((a_hi * v_hi - p) + a_hi * v_lo + a_lo * v_hi) + a_lo * v_lo
+        out.append(math.fsum(np.concatenate((p, error)).tolist()))
+    return np.array(out)
+
+
+def random_z_column(size, seed):
+    rng = np.random.default_rng(seed)
+    tail = -rng.random(size - 1) * (rng.random(size - 1) < 0.7)
+    return np.concatenate(([rng.uniform(0.1, 3.0)], tail))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: registry_core("dirichlet-sech", 64, 5.0).column, id="sech-64"),
+        pytest.param(lambda: registry_core("dirichlet-sech", 800).column, id="sech-800"),
+        pytest.param(lambda: registry_core("dirichlet-sech", 8192).column, id="sech-8192"),
+        pytest.param(lambda: random_z_column(97, 1), id="z-97"),
+        pytest.param(lambda: random_z_column(1200, 2), id="z-1200"),
+    ],
+)
+def test_matvec_rounding_bound_holds(build):
+    # the Ritz vector the bracket uses, and a random positive vector
+    column = build()
+    op = StructuredOperator(column)
+    rows = np.random.default_rng(3).choice(op.size, size=min(op.size, 40), replace=False)
+    _, _, ritz = op._lanczos(op.norm_inf())
+    uniform = np.random.default_rng(4).random(op.size)
+    for vector in (ritz, uniform):
+        margin = op._matvec_rounding(float(np.linalg.norm(vector)))
+        error = np.abs(op.core_matvec(vector)[rows] - exact_row_products(column, vector, rows))
+        assert error.max() <= margin
+
+
+@pytest.mark.parametrize("problem_id", ["dirichlet-sech", "dirichlet-mixed-kernel"])
+def test_large_window_brackets(problem_id, durbin_calls):
+    # at L=40 Lanczos may stop unconverged; the bracket must still hold, and
+    # near the size limit the sign of the kernel decides the Durbin count
+    op = registry_core(problem_id, 800, 40.0)
+    low = np.linalg.eigvalsh(op.dense())[0]
+    lower, upper = op.core_eigenvalue_bracket()
+    assert lower <= low <= upper + 1e-15
+    durbin_calls.clear()
+    lower, _ = registry_core(problem_id, 8190, 40.0).core_eigenvalue_bracket()
+    assert lower > 0.0
+    assert len(durbin_calls) <= (0 if problem_id == "dirichlet-sech" else 1)
 
 
 def test_core_eigenvalue_memory_is_linear():

@@ -18,6 +18,7 @@ from nldiff.quadrature import (
     QuadratureError,
     adaptive_quad,
     adaptive_quad_many,
+    _versine_panels,
     versine_transform,
 )
 
@@ -226,6 +227,43 @@ def test_versine_transform_closed_form():
     assert result.converged and result.abs_error_estimate <= 1e-12
     # the P = modes table and the 2P table, 15 nodes per panel
     assert result.evaluations == 15 * 3 * modes
+
+
+def versine_panels_by_offset(f, radius, modes, panels):
+    """The versine table with one integrand call and one rfft per Gauss offset."""
+    nodes, weights = np.polynomial.legendre.leggauss(15)
+    width = radius / panels
+    ramp = np.arange(panels)
+    modes_phase = (math.pi / panels) * np.arange(modes + 1)
+    plain = 0.0
+    cosine = np.zeros(modes + 1)
+    for offset, weight in zip(0.5 * (1.0 + nodes), weights):
+        a = (0.5 * width * weight) * np.asarray(f(width * (ramp + offset)), dtype=float)
+        spectrum = np.fft.rfft(a, 2 * panels)[: modes + 1]
+        phase = offset * modes_phase
+        cosine += spectrum.real * np.cos(phase) + spectrum.imag * np.sin(phase)
+        plain += float(a.sum())
+    table = plain - cosine
+    table[0] = 0.0
+    return table
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        lambda x: 0.5 * np.exp(-x),
+        lambda x: np.exp(-x) - 0.9 * np.exp(-2.0 * x),
+        lambda x: np.where(x < 0.3, 1.0, 0.5),
+    ],
+    ids=["laplace", "mixed", "step"],
+)
+@pytest.mark.parametrize("radius, modes, panels", [(10.0, 64, 64), (10.0, 256, 512), (3.0, 5, 5)])
+def test_versine_panels_match_the_per_offset_loop(f, radius, modes, panels):
+    # the batch adds the offsets' rows in the loop's order: equal bit for bit
+    np.testing.assert_array_equal(
+        _versine_panels(f, radius, modes, panels),
+        versine_panels_by_offset(f, radius, modes, panels),
+    )
 
 
 def test_versine_transform_cap_carries_best_table(monkeypatch):
