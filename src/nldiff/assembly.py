@@ -189,19 +189,18 @@ def realline_boundary_terms(
     normalized by the decay profile at the window edge.
 
     B1_i covers the left tail y <= -weight_radius, B2 the mirror image; with
-    a symmetric kernel B2_i = B1_{-i}.  A kernel that carries a
-    closed_exterior_moment (the exponential kernel, through exp_int) uses
-    it; anything else integrates numerically.  method "closed" insists on the
-    closed moment and "quadrature" integrates even when it exists.
+    a symmetric kernel B2_i = B1_{-i}.  A kernel with closed forms (any
+    exponential sum) takes its exp_int exterior moment; anything else
+    integrates numerically.  method "closed" insists on the closed moment
+    and "quadrature" integrates even when it exists.
     """
-    kernel = _route_kernel(kernel, method, "closed_exterior_moment")
+    kernel = _route_kernel(kernel, method)
     k = grid.steps // 2
     xi = grid.spacing * np.arange(-k, k + 1)
     radius = grid.weight_radius
     scale = grid.half_width ** decay.exponent
-    closed = kernel.closed_exterior_moment
-    if closed is not None:
-        b1 = scale * np.asarray(closed(xi, radius, decay.exponent), dtype=float)
+    if kernel.terms is not None:
+        b1 = scale * kernel.exterior_moment(xi, radius, decay.exponent)
         return b1, b1[::-1].copy()
 
     q = decay.exponent

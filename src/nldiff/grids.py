@@ -6,8 +6,8 @@ the cut cell |y| < h.  Every weight is one hat integral of the kernel, and
 one private routine computes them all: with F the decaying second
 antiderivative of the kernel (F'' = nu), a hat integral is a second
 difference of F at the nodes (with F' at the half hats on the ends), so the
-closed route is vectorized over the whole table; a kernel without both
-antiderivatives gets every hat from one batched adaptive quadrature
+closed route is vectorized over the whole table; a kernel without closed
+forms gets every hat from one batched adaptive quadrature
 (`adaptive_quad_many`), each hat an integral of its own with its centre as
 a breakpoint.
 
@@ -90,19 +90,17 @@ def _hat_integrals(
     over |y| >= h.
 
     The closed route evaluates F and F' once at every node and takes second
-    differences (F' enters at the two half hats); without both
-    antiderivatives all requested hats are integrated in one batch.
+    differences (F' enters at the two half hats); for a kernel without
+    closed forms all requested hats are integrated in one batch.
     cut_cell, the moment weight of the inward half of the k = 1 hat, is
     added to that entry first.
     """
     m = grid.steps
     h = grid.spacing
-    second = kernel.antiderivative_second
-    first = kernel.antiderivative_first
-    if second is not None and first is not None:
+    if kernel.terms is not None:
         x = h * np.arange(0, m + 1)
-        f_nodes = np.asarray(second(x), dtype=float)
-        fp_nodes = np.asarray(first(x), dtype=float)
+        f_nodes = np.asarray(kernel.antiderivative_second(x), dtype=float)
+        fp_nodes = np.asarray(kernel.antiderivative_first(x), dtype=float)
         table = np.zeros(m + 1)
         table[1] = cut_cell + (f_nodes[2] - f_nodes[1]) / h - fp_nodes[1]
         table[2:m] = (f_nodes[3 : m + 1] - 2.0 * f_nodes[2:m] + f_nodes[1 : m - 1]) / h
@@ -130,8 +128,8 @@ def hat_tail_integral(kernel: Kernel, grid: Grid, j: int) -> float:
     For 1 < |j| < M this is the full hat support [x_{j-1}, x_{j+1}]; at
     |j| = 1 only the outward half [x_1, x_2] (the inward half is replaced by
     the moment rule); at |j| = M only the inward half [x_{M-1}, x_M].  The
-    closed route needs both antiderivatives of the kernel; otherwise the hat
-    is integrated by quadrature.  This is the entry w_j of `compute_weights`
+    closed route needs the kernel's closed forms; otherwise the hat is
+    integrated by quadrature.  This is the entry w_j of `compute_weights`
     for |j| >= 2.
     """
     k = abs(j)
@@ -145,12 +143,12 @@ def compute_weights(kernel: Kernel, grid: Grid, method: str = "auto") -> WeightS
 
     w_j for 1 <= |j| <= M is the hat integral of `hat_tail_integral`; w_{+-1}
     also carries the cut cell's second moment weight moment_f(kernel, h, 1).
-    method "closed" insists on the kernel's antiderivatives, "quadrature"
+    method "closed" insists on the kernel's closed forms, "quadrature"
     runs on the kernel stripped of every closed form (an independent route
     even when closed forms exist), and "auto" uses the closed forms the
     kernel carries.
     """
-    kernel = _route_kernel(kernel, method, "antiderivative_first", "antiderivative_second")
+    kernel = _route_kernel(kernel, method)
     m = grid.steps
     right = np.zeros(m + 1)
     right[1:] = _hat_integrals(

@@ -13,9 +13,9 @@ the two comparison-*-neumann rows cut the forcing at the window edge
 Closed forms shipped with a problem are never trusted blindly.  One audit
 compares the two kernels' tail masses and the two sech-data boundary terms
 against the quadrature route, eight checks in all; on disagreement beyond
-1e-6 the closed form is dropped (the quadrature value wins) with a warning
-in the log.  The registry is built from the audit's output, and
-`audit_closed_forms` returns its checks.
+1e-6 the closed form is dropped (the quadrature value wins; a kernel drops
+all its closed forms together) with a warning in the log.  The registry is
+built from the audit's output, and `audit_closed_forms` returns its checks.
 
 The reported error of a sweep cell is the maximum deviation between the
 reconstructed solution and the reference solution over a dense probe
@@ -299,18 +299,20 @@ def validate_closed_boundary(
 
 
 def validate_closed_tail_mass(kernel: Kernel, label: str) -> tuple[Kernel, list[ClosedFormCheck]]:
-    if kernel.closed_tail_mass is None:
+    """Compare a kernel's closed tail mass against quadrature; on disagreement
+    the kernel loses its terms, and so every closed form, to quadrature."""
+    if kernel.terms is None:
         return kernel, []
     checks = [
         ClosedFormCheck(
             "%s[radius=%g]" % (label, radius),
-            kernel.closed_tail_mass(radius),
+            tail_mass(kernel, radius),
             tail_mass(kernel.without_closed_forms(), radius),
             _AUDIT_TOL,
         )
         for radius in (5.0, 10.0)
     ]
-    return _keep_or_demote(kernel, "closed_tail_mass", checks, "tail mass", "tail mass")
+    return _keep_or_demote(kernel, "terms", checks, "tail mass", "tail mass")
 
 
 def _sech_data_problem(kernel: Kernel, forcing, boundary) -> DirichletProblem:

@@ -2,13 +2,13 @@
 
 A kernel is an even, integrable weight nu with exponentially decaying tails.
 The interior weights use the second antiderivative F (F'' = nu) and the edge
-weights the first, F'; both are optional closed forms, like the tail mass
-and the truncation moments, and the quadrature route stands in for any that
-is absent.  F is even and F' odd, both -> 0 as y -> +inf:
+weights the first, F'.  F is even and F' odd, both -> 0 as y -> +inf:
 F(y) = integral over s in [y, inf) of (s - y) nu(s) ds for y >= 0.
 
-The built-in kernels are sums of terms c exp(-a |y|), and one constructor
-derives all their closed forms and decay facts from the (c, a) pairs.
+A kernel that is a sum of terms c exp(-a |y|) carries its (c, a) pairs as
+`Kernel.terms`, and every closed form derives from them here: F', F, the
+tail mass, the truncation moments and the whole-line exterior moment.  A
+kernel without terms takes the quadrature route for all of them.
 `build_kernel` checks a declared decay rate and constant against
 |nu(y)| exp(rate y) out to the truncation points the certificates use.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Mapping, Sequence
 
@@ -67,44 +67,71 @@ class Kernel:
     decay_constant: float
     sign_class: SignClass
     norm_l1: float
-    antiderivative_first: Callable[[np.ndarray], np.ndarray] | None = None
-    antiderivative_second: Callable[[np.ndarray], np.ndarray] | None = None
-    closed_tail_mass: Callable[[float], float] | None = None
-    # (h, index) -> moment_f for index 1, 3 or 4; moment_f derives index 2
-    closed_moments: Callable[[float, int], float] | None = None
-    # (center, radius, exponent) -> int_radius^inf |center + s|^-exponent nu(s) ds
-    closed_exterior_moment: Callable[[np.ndarray, float, float], np.ndarray] | None = None
+    # the (c, a) pairs of nu(y) = sum of c exp(-a |y|) for a kernel with
+    # closed forms, None for any other kernel
+    terms: tuple[tuple[float, float], ...] | None = None
     sign_changes: tuple[float, ...] = ()
     name: str = "custom"
+    # the (c/a, a), (c/a^2, a) and (2c/a, a) terms of F', F and the tail
+    # mass, derived once per kernel
+    _scaled: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.terms is not None:
+            scaled = [((c / a, a), (c / (a * a), a), (2.0 * c / a, a)) for c, a in self.terms]
+            object.__setattr__(self, "_scaled", tuple(zip(*scaled)))
 
     def decay(self) -> DecayCertificate:
         return DecayCertificate(self.decay_rate, self.decay_constant)
 
     def without_closed_forms(self) -> "Kernel":
-        return replace(
-            self,
-            antiderivative_first=None,
-            antiderivative_second=None,
-            closed_tail_mass=None,
-            closed_moments=None,
-            closed_exterior_moment=None,
-        )
+        return replace(self, terms=None)
+
+    def _closed(self) -> tuple:
+        if self._scaled is None:
+            raise ValueError("kernel %r has no closed forms" % self.name)
+        return self._scaled
+
+    def antiderivative_first(self, y):
+        """F'(y) = -sign(y) * sum of c/a exp(-a |y|)."""
+        return -np.sign(y) * _exp_sum(self._closed()[0], y, np.exp)
+
+    def antiderivative_second(self, y):
+        """F(y) = sum of c/a^2 exp(-a |y|)."""
+        return _exp_sum(self._closed()[1], y, np.exp)
+
+    def exterior_moment(self, center, radius: float, exponent: float) -> np.ndarray:
+        """int_radius^inf (center + s)^-exponent nu(s) ds for center + radius > 0.
+
+        Term by term the substitution t = a (center + s) gives
+        c e^(a center) (center + radius)^(1 - exponent) E_exponent(a (center + radius)).
+        Where e^(a center) overflows, E has underflowed to 0 (for radius >=
+        2 center its argument is at least three times a center), and so has
+        the term.
+        """
+        self._closed()
+        x = np.asarray(center, dtype=float)
+        power = (x + radius) ** (1.0 - exponent)
+        total = 0.0
+        for c, a in self.terms:
+            tail = exp_int(exponent, a * (x + radius))
+            with np.errstate(over="ignore", invalid="ignore"):
+                total = total + np.where(tail == 0.0, 0.0, c * np.exp(a * x) * power * tail)
+        return total
 
 
-def _route_kernel(kernel: Kernel, method: str, *capabilities: str) -> Kernel:
+def _route_kernel(kernel: Kernel, method: str) -> Kernel:
     """The kernel a computation runs on under its route choice.
 
-    "auto" uses whatever closed forms the kernel carries, "quadrature" strips
-    them all, and "closed" raises unless every named capability is present.
+    "auto" uses the closed forms if the kernel has terms, "quadrature" strips
+    them, and "closed" raises unless the kernel has them.
     """
     if method not in ("auto", "closed", "quadrature"):
         raise ValueError("unknown method %r" % method)
     if method == "quadrature":
         return kernel.without_closed_forms()
     if method == "closed":
-        missing = [c for c in capabilities if getattr(kernel, c) is None]
-        if missing:
-            raise ValueError("kernel %r lacks %s" % (kernel.name, ", ".join(missing)))
+        kernel._closed()
     return kernel
 
 
@@ -114,11 +141,6 @@ def build_kernel(
     decay_rate: float,
     sign_class: SignClass,
     decay_constant: float | None = None,
-    antiderivative_first: Callable[[np.ndarray], np.ndarray] | None = None,
-    antiderivative_second: Callable[[np.ndarray], np.ndarray] | None = None,
-    closed_tail_mass: Callable[[float], float] | None = None,
-    closed_moments: Callable[[float, int], float] | None = None,
-    closed_exterior_moment: Callable[[np.ndarray, float, float], np.ndarray] | None = None,
     sign_changes: Sequence[float] = (),
     name: str = "custom",
 ) -> Kernel:
@@ -177,11 +199,6 @@ def build_kernel(
         decay_constant=decay_constant,
         sign_class=sign_class,
         norm_l1=norm,
-        antiderivative_first=antiderivative_first,
-        antiderivative_second=antiderivative_second,
-        closed_tail_mass=closed_tail_mass,
-        closed_moments=closed_moments,
-        closed_exterior_moment=closed_exterior_moment,
         sign_changes=breaks,
         name=name,
     )
@@ -223,56 +240,28 @@ def _exponential_sum_kernel(
     terms: Sequence[tuple[float, float]], sign_changes: Sequence[float], name: str
 ) -> Kernel:
     """nu(y) = sum of c exp(-a |y|) over the (c, a) terms, every a > 0, with
-    every closed form derived from the terms.
+    the decay facts derived from the terms and the terms kept for the
+    closed forms.
 
     ``sign_changes`` are the positive zeros of nu; with none the kernel is
     declared nonnegative, otherwise sign-changing with positive tails.
     """
-    first = tuple((c / a, a) for c, a in terms)
-    second = tuple((c / (a * a), a) for c, a in terms)
-    mass = tuple((2.0 * c / a, a) for c, a in terms)
+    terms = tuple((float(c), float(a)) for c, a in terms)
     zeros = tuple(float(s) for s in sign_changes)
-
-    def anti_first(y):
-        return -np.sign(y) * _exp_sum(first, y, np.exp)
-
-    def moments(h: float, index: int) -> float:
-        if index == 4:
-            # nu keeps one sign between h, the zeros beyond it and infinity,
-            # and int_p^q nu = G(p) - G(q) for G = -F' on y > 0, G(inf) = 0
-            edges = [h] + [s for s in zeros if s > h] + [math.inf]
-            g = [_exp_sum(first, p, math.exp) for p in edges]
-            return h * h * sum(abs(p - q) for p, q in zip(g, g[1:]))
-        power = 2 if index == 1 else 4
-        total = 0.0
-        for c, a in terms:
-            total += c * _exp_moment(a, power, h)
-        return total / (h * h) if index == 1 else total
-
-    return build_kernel(
+    kernel = build_kernel(
         partial(_exp_sum, terms, exp=np.exp),
         decay_rate=min(a for _, a in terms),
         decay_constant=sum(abs(c) for c, _ in terms),
         sign_class=SignClass.MIXED_WITH_POSITIVE_TAIL if zeros else SignClass.NONNEGATIVE,
-        antiderivative_first=anti_first,
-        antiderivative_second=partial(_exp_sum, second, exp=np.exp),
-        closed_tail_mass=partial(_exp_sum, mass, exp=math.exp),
-        closed_moments=moments,
         sign_changes=tuple(-s for s in reversed(zeros)) + zeros,
         name=name,
     )
-
-
-def _laplace_exterior_moment(center, radius, exponent):
-    # substitute t = center + s: e^center / 2 * int_a^inf t^-p e^-t dt
-    arg = radius + np.asarray(center, dtype=float)
-    return 0.5 * np.exp(center) * arg ** (1.0 - exponent) * exp_int(exponent, arg)
+    return replace(kernel, terms=terms)
 
 
 def laplace_kernel() -> Kernel:
     """nu(y) = exp(-|y|) / 2, the unit-variance exponential kernel."""
-    kernel = _exponential_sum_kernel([(0.5, 1.0)], (), "laplace-exponential")
-    return replace(kernel, closed_exterior_moment=_laplace_exterior_moment)
+    return _exponential_sum_kernel([(0.5, 1.0)], (), "laplace-exponential")
 
 
 def mixed_exponential_kernel() -> Kernel:
@@ -310,7 +299,7 @@ def moment_f(kernel: Kernel, h: float, index: int) -> float:
     index 3:         int_0^h y^4 nu(y) dy
     index 4: h**2  * int_h^inf |nu(y)| dy
 
-    Closed forms are used when the kernel carries them; otherwise adaptive
+    Closed forms are used when the kernel has terms; otherwise adaptive
     quadrature at a tolerance tight enough for the 1e-10 relative
     cross-checks these moments are subject to.
     """
@@ -321,22 +310,31 @@ def moment_f(kernel: Kernel, h: float, index: int) -> float:
     if index == 2:
         # keep the h**4 scaling bit exact no matter which route computes it
         return h ** 4 * moment_f(kernel, h, 1)
-    if kernel.closed_moments is not None:
-        return kernel.closed_moments(h, index)
-    if index == 1:
-        val = adaptive_quad(lambda y: y * y * kernel.evaluate(y), 0.0, h, 0.0, rel=1e-13).value
-        return val / (h * h)
-    if index == 3:
-        return adaptive_quad(lambda y: y ** 4 * kernel.evaluate(y), 0.0, h, 0.0, rel=1e-13).value
-    return h * h * _tail_integral(kernel, lambda y: np.abs(kernel.evaluate(y)), h)
+    closed = kernel.terms is not None
+    if index == 4 and not closed:
+        return h * h * _tail_integral(kernel, lambda y: np.abs(kernel.evaluate(y)), h)
+    if index == 4:
+        # nu keeps one sign between h, the zeros beyond it and infinity,
+        # and int_p^q nu = G(p) - G(q) for G = -F' on y > 0, G(inf) = 0
+        edges = [h] + [s for s in kernel.sign_changes if s > h] + [math.inf]
+        g = [_exp_sum(kernel._closed()[0], p, math.exp) for p in edges]
+        return h * h * sum(abs(p - q) for p, q in zip(g, g[1:]))
+    power = 2 if index == 1 else 4
+    if closed:
+        total = sum(c * _exp_moment(a, power, h) for c, a in kernel.terms)
+    else:
+        total = adaptive_quad(
+            lambda y: y ** power * kernel.evaluate(y), 0.0, h, 0.0, rel=1e-13
+        ).value
+    return total / (h * h) if index == 1 else total
 
 
 def tail_mass(kernel: Kernel, support_radius: float) -> float:
     """Signed kernel mass outside [-support_radius, support_radius]."""
     if support_radius < 0:
         raise ValueError("support radius must be nonnegative")
-    if kernel.closed_tail_mass is not None:
-        return kernel.closed_tail_mass(support_radius)
+    if kernel.terms is not None:
+        return _exp_sum(kernel._closed()[2], support_radius, math.exp)
     return 2.0 * _tail_integral(kernel, kernel.evaluate, support_radius)
 
 
@@ -400,21 +398,20 @@ def validate_kernel(
         checks["positive_tails"] = all(v > 0.0 for v in tails.values())
 
     # central differences of each antiderivative against its derivative
-    step = 1e-5 / kernel.decay_rate
-    sub = probe[(np.abs(probe) > 10 * step)][::25]
-    pairs = (
-        ("first_antiderivative", kernel.antiderivative_first, kernel.evaluate),
-        ("second_antiderivative", kernel.antiderivative_second, kernel.antiderivative_first),
-    )
-    for name, antiderivative, derivative in pairs:
-        if antiderivative is None or derivative is None:
-            continue
-        dnum = (
-            np.asarray(antiderivative(sub + step), dtype=float)
-            - np.asarray(antiderivative(sub - step), dtype=float)
-        ) / (2.0 * step)
-        target = np.asarray(derivative(sub), dtype=float)
-        checks[name] = float(np.abs(dnum - target).max()) <= 1e-4 * (1.0 + peak)
+    if kernel.terms is not None:
+        step = 1e-5 / kernel.decay_rate
+        sub = probe[(np.abs(probe) > 10 * step)][::25]
+        pairs = (
+            ("first_antiderivative", kernel.antiderivative_first, kernel.evaluate),
+            ("second_antiderivative", kernel.antiderivative_second, kernel.antiderivative_first),
+        )
+        for name, antiderivative, derivative in pairs:
+            dnum = (
+                np.asarray(antiderivative(sub + step), dtype=float)
+                - np.asarray(antiderivative(sub - step), dtype=float)
+            ) / (2.0 * step)
+            target = np.asarray(derivative(sub), dtype=float)
+            checks[name] = float(np.abs(dnum - target).max()) <= 1e-4 * (1.0 + peak)
 
     return KernelValidationReport(
         mass=mass,

@@ -312,12 +312,14 @@ def adaptive_quad_many(
             point = cert.truncation_point(budget)
             truncations[key] = (point, cert.tail_bound(point))
         point, bound = truncations[key]
+        # a truncation point beyond the finite endpoint leaves an empty
+        # interval, whose error is the certified tail from that endpoint
         if upper_cut[i]:
-            upper[i] = point
-            tail[i] += bound
+            upper[i] = max(point, lower[i])
+            tail[i] += bound if upper[i] == point else cert.tail_bound(upper[i])
         if lower_cut[i]:
-            lower[i] = -point
-            tail[i] += bound
+            lower[i] = min(-point, upper[i])
+            tail[i] += bound if lower[i] == -point else cert.tail_bound(-lower[i])
     if not (lower <= upper).all():
         raise ValueError("lower endpoint must not exceed upper endpoint")
 

@@ -272,23 +272,41 @@ class TestRealLineBoundaryTerms:
         np.testing.assert_allclose(b1, loop, rtol=1e-14, atol=0.0)
 
     def test_quadrature_route_touches_no_closed_form(self):
-        def boom(*args):
-            raise AssertionError("closed form used on the quadrature route")
-
+        # terms far from the kernel's own: a closed moment leaking into the
+        # quadrature route would show as a wrong number
         grid = build_grid(10.0, 100)
         decay = DecayModel(2.0)
-        rigged = dataclasses.replace(laplace_kernel(), closed_exterior_moment=boom)
+        rigged = dataclasses.replace(laplace_kernel(), terms=((5.0, 0.1),))
         quad, _ = realline_boundary_terms(rigged, grid, decay, method="quadrature")
         closed, _ = realline_boundary_terms(laplace_kernel(), grid, decay)
         np.testing.assert_allclose(quad, closed, rtol=1e-9)
+        wrong, _ = realline_boundary_terms(rigged, grid, decay)
+        assert not np.allclose(wrong, closed, rtol=1e-2)
 
-    def test_mixed_kernel_goes_through_quadrature(self):
+    def test_mixed_kernel_closed_moment_matches_quadrature(self):
         grid = build_grid(5.0, 64)
         kernel = mixed_exponential_kernel()
-        b1, _ = realline_boundary_terms(kernel, grid, DecayModel(2.0))
+        decay = DecayModel(2.0)
+        b1, _ = realline_boundary_terms(kernel, grid, decay)
         assert np.all(np.isfinite(b1)) and b1.min() > 0.0
+        closed, _ = realline_boundary_terms(kernel, grid, decay, method="closed")
+        quad, _ = realline_boundary_terms(kernel, grid, decay, method="quadrature")
+        np.testing.assert_array_equal(closed, b1)
+        np.testing.assert_allclose(closed, quad, rtol=1e-12)
         with pytest.raises(ValueError):
-            realline_boundary_terms(kernel, grid, DecayModel(2.0), method="closed")
+            realline_boundary_terms(kernel.without_closed_forms(), grid, decay, method="closed")
+
+    @pytest.mark.parametrize("half_width", [360.0, 720.0])
+    def test_far_windows_on_both_routes(self, half_width):
+        # from L=360 every tail starts beyond the quadrature route's
+        # truncation point; at L=720 e^(a x) overflows in the closed moment
+        grid = build_grid(half_width, int(2 * half_width))
+        decay = DecayModel(2.0)
+        for kernel in (laplace_kernel(), mixed_exponential_kernel()):
+            closed, _ = realline_boundary_terms(kernel, grid, decay, method="closed")
+            quad, _ = realline_boundary_terms(kernel, grid, decay, method="quadrature")
+            assert np.all(np.isfinite(closed)) and closed.min() >= 0.0
+            assert closed.max() <= 1e-300 and not quad.any()
 
     def test_closed_route_is_a_capability_not_a_name(self):
         # e^{-2|y|} carrying the exponential kernel's name has no closed
@@ -306,7 +324,7 @@ class TestRealLineBoundaryTerms:
         np.testing.assert_allclose(auto, quad, rtol=1e-9)
         with pytest.raises(ValueError):
             realline_boundary_terms(impostor, grid, decay, method="closed")
-        assert laplace_kernel().without_closed_forms().closed_exterior_moment is None
+        assert laplace_kernel().without_closed_forms().terms is None
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):

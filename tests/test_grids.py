@@ -169,20 +169,18 @@ class TestWeights:
         np.testing.assert_allclose(batch, loop, rtol=1e-14, atol=0.0)
 
     def test_quadrature_route_touches_no_closed_form(self, laplace):
-        def boom(*args):
-            raise AssertionError("closed form used on the quadrature route")
-
-        rigged = dataclasses.replace(
-            laplace,
-            antiderivative_first=boom,
-            antiderivative_second=boom,
-            closed_tail_mass=boom,
-            closed_moments=boom,
-        )
+        # terms far from the kernel's own: any closed form leaking into the
+        # quadrature route would show as a wrong weight or tail mass
+        rigged = dataclasses.replace(laplace, terms=((5.0, 0.1),))
         g = build_grid(5.0, 64)
+        truth = compute_weights(laplace, g)
         quad = compute_weights(rigged, g, method="quadrature")
-        np.testing.assert_allclose(quad.weights, compute_weights(laplace, g).weights, rtol=1e-10)
-        with pytest.raises(ValueError, match="antiderivative"):
+        np.testing.assert_allclose(quad.weights, truth.weights, rtol=1e-10)
+        assert quad.tail_mass == pytest.approx(truth.tail_mass, rel=1e-10)
+        wrong = compute_weights(rigged, g)
+        assert not np.allclose(wrong.weights, truth.weights, rtol=1e-2)
+        assert not wrong.tail_mass == pytest.approx(truth.tail_mass, rel=1e-2)
+        with pytest.raises(ValueError, match="no closed forms"):
             compute_weights(laplace.without_closed_forms(), g, method="closed")
 
     def test_interior_weights_track_kernel(self, laplace):

@@ -301,18 +301,17 @@ class TestClosedFormAudit:
         assert failing == ["sech-boundary[i=0]", "sech-boundary[i=16]"]
 
     def test_wrong_tail_mass_is_demoted(self, caplog):
-        kernel = dataclasses.replace(
-            laplace_kernel(), closed_tail_mass=lambda r: 2.0 * math.exp(-r)
-        )
+        # (c, a) = (1, 1) makes the closed tail mass 2 exp(-r), twice the truth
+        kernel = dataclasses.replace(laplace_kernel(), terms=((1.0, 1.0),))
         with caplog.at_level("WARNING", logger="nldiff.harness"):
             demoted, checks = validate_closed_tail_mass(kernel, "corrupted")
-        assert demoted.closed_tail_mass is None
+        assert demoted.terms is None
         assert checks and not all(c.ok for c in checks)
 
     def test_correct_tail_mass_is_kept(self):
         kernel = laplace_kernel()
         kept, checks = validate_closed_tail_mass(kernel, "laplace")
-        assert kept.closed_tail_mass is kernel.closed_tail_mass
+        assert kept is kernel
         assert all(c.ok for c in checks)
 
 

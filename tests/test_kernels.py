@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nldiff.assembly import DecayModel, realline_boundary_terms
+from nldiff.expint import exp_int
 from nldiff.grids import build_grid, compute_weights
 from nldiff.harness import registry
 from nldiff.kernels import (
@@ -298,8 +300,7 @@ def test_eval_kernel_shapes(laplace):
 
 def test_without_closed_forms_same_values(mixed):
     stripped = mixed.without_closed_forms()
-    assert stripped.closed_tail_mass is None
-    assert stripped.closed_moments is None
+    assert mixed.terms is not None and stripped.terms is None
     for radius in (1.0, 4.0):
         a = tail_mass(mixed, radius)
         b = tail_mass(stripped, radius)
@@ -330,6 +331,8 @@ _ORACLES = {
         tail=lambda r: math.exp(-r),
         m1=lambda h: 0.5 * _exp_moment(1.0, 2, h) / (h * h),
         m3=lambda h: 0.5 * _exp_moment(1.0, 4, h),
+        # substitute t = center + s: e^center / 2 * int_a^inf t^-p e^-t dt
+        exterior=lambda x, r, p: 0.5 * np.exp(x) * (r + x) ** (1.0 - p) * exp_int(p, r + x),
     ),
     "mixed": dict(
         nu=lambda y: 1.5 * np.exp(-np.abs(y)) - 2.0 * np.exp(-2.0 * np.abs(y)),
@@ -338,6 +341,10 @@ _ORACLES = {
         tail=lambda r: 3.0 * math.exp(-r) - 2.0 * math.exp(-2.0 * r),
         m1=lambda h: (1.5 * _exp_moment(1.0, 2, h) - 2.0 * _exp_moment(2.0, 2, h)) / (h * h),
         m3=lambda h: 1.5 * _exp_moment(1.0, 4, h) - 2.0 * _exp_moment(2.0, 4, h),
+        exterior=lambda x, r, p: (
+            1.5 * np.exp(x) * (x + r) ** (1.0 - p) * exp_int(p, x + r)
+            - 2.0 * np.exp(2.0 * x) * (x + r) ** (1.0 - p) * exp_int(p, 2.0 * (x + r))
+        ),
     ),
 }
 
@@ -356,14 +363,22 @@ def test_builtins_match_their_hand_written_formulas_bit_for_bit(name, laplace, m
         assert moment_f(kernel, h, 1) == oracle["m1"](h)
         assert moment_f(kernel, h, 2) == h ** 4 * oracle["m1"](h)
         assert moment_f(kernel, h, 3) == oracle["m3"](h)
+    for half_width in (0.5, 5.0, 10.0, 20.0, 40.0):
+        grid = build_grid(half_width, 100)
+        centers = grid.spacing * np.arange(-50, 51)
+        for p in (1.5, 2.0, 3.0):
+            np.testing.assert_array_equal(
+                kernel.exterior_moment(centers, grid.weight_radius, p),
+                oracle["exterior"](centers, grid.weight_radius, p),
+            )
 
 
 def test_builtins_derive_their_decay_and_sign_facts(laplace, mixed):
     assert (laplace.decay_rate, laplace.decay_constant) == (1.0, 0.5)
     assert (mixed.decay_rate, mixed.decay_constant) == (1.0, 3.5)
     assert laplace.sign_class is SignClass.NONNEGATIVE and laplace.sign_changes == ()
-    assert laplace.closed_exterior_moment is not None
-    assert mixed.closed_exterior_moment is None
+    assert laplace.terms == ((0.5, 1.0),)
+    assert mixed.terms == ((1.5, 1.0), (-2.0, 2.0))
 
 
 def test_a_three_term_sum_matches_the_quadrature_route():
@@ -387,3 +402,12 @@ def test_a_three_term_sum_matches_the_quadrature_route():
     closed = compute_weights(kernel, grid, method="closed").weights
     quad = compute_weights(kernel, grid, method="quadrature").weights
     np.testing.assert_allclose(closed, quad, rtol=0.0, atol=1e-12 * np.abs(quad).max())
+    # the whole-line exterior moments, of this sum and of the mixed kernel
+    for summed in (kernel, mixed_exponential_kernel()):
+        for half_width in (5.0, 10.0, 20.0, 40.0):
+            grid = build_grid(half_width, 64)
+            for p in (1.5, 2.0, 3.0):
+                decay = DecayModel(p)
+                closed, _ = realline_boundary_terms(summed, grid, decay, method="closed")
+                quad, _ = realline_boundary_terms(summed, grid, decay, method="quadrature")
+                np.testing.assert_allclose(closed, quad, rtol=1e-12, atol=0.0)

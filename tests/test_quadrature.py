@@ -390,3 +390,24 @@ def test_many_empty_interval_and_bad_input():
         )
     with pytest.raises(ValueError, match="must not exceed"):
         adaptive_quad_many(lambda y, owner: y, [0.0, 2.0], [1.0, 1.0], 1e-10)
+
+
+def test_upper_tail_beyond_its_truncation_point_is_empty():
+    # at tol 1e-300 the truncation point sits near 690, below the endpoint
+    cert = DecayCertificate(1.0, 0.5)
+    r = adaptive_quad(lambda y: 0.5 * np.exp(-y), 800.0, math.inf, 1e-300, decay=cert)
+    assert (r.value, r.abs_error_estimate, r.evaluations) == (0.0, cert.tail_bound(800.0), 0)
+    r = adaptive_quad(lambda y: np.exp(-y), 20.0, math.inf, 1e-3, decay=DecayCertificate(1.0, 1.0))
+    assert (r.value, r.abs_error_estimate, r.evaluations) == (0.0, math.exp(-20.0), 0)
+
+
+def test_lower_tail_beyond_its_truncation_point_is_empty():
+    cert = DecayCertificate(1.0, 1.0)
+    r = adaptive_quad_many(
+        lambda y, owner: np.exp(-np.abs(y)), [-math.inf, -math.inf], [-20.0, 0.0], 1e-3,
+        decay=cert,
+    )
+    assert r.value[0] == 0.0 and r.abs_error_estimate[0] == math.exp(-20.0)
+    # its neighbour in the batch is integrated as it would be alone
+    alone = adaptive_quad(lambda y: np.exp(-np.abs(y)), -math.inf, 0.0, 1e-3, decay=cert)
+    assert r.value[1] == alone.value and r.evaluations == alone.evaluations

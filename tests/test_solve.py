@@ -269,6 +269,20 @@ def _variant_problem(variant, kernel, half_width):
 _KERNELS = {"laplace": laplace_kernel(), "mixed": mixed_exponential_kernel()}
 
 
+@pytest.mark.parametrize("half_width", [360.0, 720.0])
+def test_far_whole_line_windows_solve_on_both_routes(half_width):
+    # from L=360 every beyond-support tail starts past its quadrature
+    # truncation point; at L=720 e^(a x) overflows in the closed moment
+    grid = build_grid(half_width, int(2 * half_width))
+    laplace = _KERNELS["laplace"]
+    values = {}
+    for name, kernel in (*_KERNELS.items(), ("bare", laplace.without_closed_forms())):
+        system = assemble(_variant_problem("realline", kernel, half_width), grid)
+        values[name] = solve(system).values
+        assert np.all(np.isfinite(values[name]))
+    np.testing.assert_allclose(values["bare"], values["laplace"], rtol=1e-9)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     variant=st.sampled_from(["dirichlet", "realline", "neumann"]),
