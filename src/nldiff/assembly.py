@@ -80,8 +80,8 @@ class GrowthCertificate:
     constant: float
 
     def __post_init__(self) -> None:
-        if self.degree < 0 or self.constant <= 0:
-            raise ValueError("growth certificate needs degree >= 0 and constant > 0")
+        if not (0 <= self.degree < math.inf and 0 < self.constant < math.inf):
+            raise ValueError("growth certificate needs finite degree >= 0 and constant > 0")
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     solution = solve(assemble(case.problem, grid))
     lines = ["x,u"]
     h = grid.spacing
-    for index, value in zip(solution.indices, solution.values):
+    for index, value in zip(solution.system.indices, solution.values):
         lines.append("%s,%s" % (format(h * index, ".17g"), format(value, ".17g")))
     _write_out("\n".join(lines) + "\n", args.out)
     return 0

@@ -54,7 +54,7 @@ from .quadrature import (
     DecayCertificate,
     PowerDecayCertificate,
     QuadratureError,
-    adaptive_quad,
+    adaptive_quad_many,
 )
 from .solve import SolveError, evaluate_solution, solve
 
@@ -255,10 +255,10 @@ class ClosedFormCheck:
 
 
 def _keep_or_demote(
-    subject, field: str, checks: list[ClosedFormCheck], audit: str, term: str
+    subject, stripped, checks: list[ClosedFormCheck], audit: str, term: str
 ):
-    # log every comparison; on any disagreement drop the closed form in
-    # `field` so quadrature wins
+    # log every comparison; on any disagreement return `stripped`, the
+    # subject without its closed form, so quadrature wins
     for check in checks:
         log.info(
             "%s audit %s: closed=%.12e quadrature=%.12e",
@@ -276,7 +276,7 @@ def _keep_or_demote(
         worst.label,
         worst.gap,
     )
-    return replace(subject, **{field: None}), checks
+    return stripped, checks
 
 
 def validate_closed_boundary(
@@ -295,7 +295,7 @@ def validate_closed_boundary(
         )
         reference = dirichlet_boundary_term(stripped, grid, i)
         checks.append(ClosedFormCheck("%s[i=%d]" % (label, i), closed, reference, _AUDIT_TOL))
-    return _keep_or_demote(problem, "closed_boundary_term", checks, "closed form", "boundary term")
+    return _keep_or_demote(problem, stripped, checks, "closed form", "boundary term")
 
 
 def validate_closed_tail_mass(kernel: Kernel, label: str) -> tuple[Kernel, list[ClosedFormCheck]]:
@@ -303,16 +303,17 @@ def validate_closed_tail_mass(kernel: Kernel, label: str) -> tuple[Kernel, list[
     the kernel loses its terms, and so every closed form, to quadrature."""
     if kernel.terms is None:
         return kernel, []
+    stripped = kernel.without_closed_forms()
     checks = [
         ClosedFormCheck(
             "%s[radius=%g]" % (label, radius),
             tail_mass(kernel, radius),
-            tail_mass(kernel.without_closed_forms(), radius),
+            tail_mass(stripped, radius),
             _AUDIT_TOL,
         )
         for radius in (5.0, 10.0)
     ]
-    return _keep_or_demote(kernel, "terms", checks, "tail mass", "tail mass")
+    return _keep_or_demote(kernel, stripped, checks, "tail mass", "tail mass")
 
 
 def _sech_data_problem(kernel: Kernel, forcing, boundary) -> DirichletProblem:
@@ -471,19 +472,18 @@ def compatibility_check(
     """
     if not isinstance(decay_certificate, (DecayCertificate, PowerDecayCertificate)):
         raise TypeError("unsupported certificate %r" % type(decay_certificate).__name__)
-    moment_cert = decay_certificate.times_power(1)
     quad_tol = min(tol / 10.0, 1e-10)
-    mean = adaptive_quad(
-        forcing, -math.inf, math.inf, quad_tol, decay=decay_certificate
-    ).value
-    first = adaptive_quad(
-        lambda y: y * np.asarray(forcing(y), dtype=float),
-        -math.inf,
+    # one batch: integral 0 is the mean, integral 1 the first moment
+    moments = adaptive_quad_many(
+        lambda y, owner: np.where(owner == 1, y, 1.0) * np.asarray(forcing(y), dtype=float),
+        [-math.inf, -math.inf],
         math.inf,
         quad_tol,
-        decay=moment_cert,
+        decay=[decay_certificate, decay_certificate.times_power(1)],
     ).value
-    return CompatibilityResult(mean=mean, first_moment=first, tol=tol, quad_tol=quad_tol)
+    return CompatibilityResult(
+        mean=float(moments[0]), first_moment=float(moments[1]), tol=tol, quad_tol=quad_tol
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -507,11 +507,12 @@ class ConvergenceReport:
     fitted_orders: Mapping[tuple[str, float], float]
 
 
-def _probe_error(entry: RegisteredProblem, case: BuiltCase, grid, solution):
+def _probe_error(entry: RegisteredProblem, solution) -> tuple[float, float]:
     exact = entry.exact_solution
     if exact is None:
         return math.nan, 1.0
-    w = case.solve_half_width
+    grid = solution.system.grid
+    w = grid.half_width
     h = grid.spacing
     count = int(round(32.0 * w / h))
     pts = np.linspace(-2.0 * w, 2.0 * w, count + 1)
@@ -544,7 +545,7 @@ def _run_cell(
         )
         return row, 1.0
     runtime = 1e3 * (time.perf_counter() - start)
-    error, scale = _probe_error(entry, case, grid, solution)
+    error, scale = _probe_error(entry, solution)
     row = ConvergenceRow(
         entry.problem_id, half_width, steps, grid.spacing, error, runtime
     )

@@ -24,7 +24,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .expint import exp_int
-from .quadrature import DecayCertificate, adaptive_quad
+from .quadrature import DecayCertificate, adaptive_quad, adaptive_quad_many
 
 __all__ = [
     "SignClass",
@@ -154,8 +154,8 @@ def build_kernel(
     are safe to share across worker threads without hidden first-call
     state.
     """
-    if decay_rate <= 0:
-        raise ValueError("decay_rate must be positive")
+    if not 0 < decay_rate < math.inf:
+        raise ValueError("decay_rate must be positive and finite, got %r" % decay_rate)
     probe = np.linspace(1e-9, _PROBE_END / decay_rate, 4001)
     with np.errstate(over="ignore"):
         values = np.abs(np.asarray(evaluate(probe), dtype=float))
@@ -361,21 +361,16 @@ def validate_kernel(
     the report rather than raised, so callers can present them.
     """
     cert = kernel.decay()
-
-    def integrate(weight_power: int) -> float:
-        return adaptive_quad(
-            lambda y: y ** weight_power * kernel.evaluate(y) if weight_power else kernel.evaluate(y),
-            -math.inf,
-            math.inf,
-            min(tol * 1e-2, 1e-10),
-            decay=cert.times_power(weight_power),
-            breakpoints=kernel.sign_changes,
-        ).value
-
-    mass = integrate(0)
-    first = integrate(1)
-    second = integrate(2)
-    fourth = integrate(4)
+    # the moments of orders 0, 1, 2 and 4 in one batch, one certificate each
+    powers = np.array([0.0, 1.0, 2.0, 4.0])
+    mass, first, second, fourth = adaptive_quad_many(
+        lambda y, owner: y ** powers[owner] * kernel.evaluate(y),
+        np.full(powers.size, -math.inf),
+        math.inf,
+        min(tol * 1e-2, 1e-10),
+        decay=[cert.times_power(p) for p in powers],
+        breakpoints=kernel.sign_changes,
+    ).value.tolist()
 
     probe = np.linspace(-20.0 / kernel.decay_rate, 20.0 / kernel.decay_rate, 1001)
     vals = np.asarray(kernel.evaluate(probe), dtype=float)

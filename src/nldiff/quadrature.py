@@ -87,15 +87,15 @@ class DecayCertificate:
     """Guarantee that |f(y)| <= constant * exp(-rate * |y|).
 
     The bound must hold from the truncation region outward; rate and
-    constant must both be positive.
+    constant must both be positive and finite.
     """
 
     rate: float
     constant: float
 
     def __post_init__(self) -> None:
-        if not (self.rate > 0 and self.constant > 0):
-            raise ValueError("decay certificate needs positive rate and constant")
+        if not (0 < self.rate < math.inf and 0 < self.constant < math.inf):
+            raise ValueError("decay certificate needs a positive finite rate and constant")
 
     def tail_bound(self, start: float) -> float:
         start = max(start, 0.0)
@@ -128,15 +128,16 @@ class DecayCertificate:
 class PowerDecayCertificate:
     """Guarantee that |f(y)| <= constant * |y| ** -degree for |y| >= 1.
 
-    degree must exceed 1 so the tail is integrable.
+    degree must exceed 1 so the tail is integrable; degree and constant
+    must be finite.
     """
 
     degree: float
     constant: float
 
     def __post_init__(self) -> None:
-        if not (self.degree > 1 and self.constant > 0):
-            raise ValueError("power decay certificate needs degree > 1 and constant > 0")
+        if not (1 < self.degree < math.inf and 0 < self.constant < math.inf):
+            raise ValueError("power decay certificate needs finite degree > 1 and constant > 0")
 
     def tail_bound(self, start: float) -> float:
         start = max(start, 1.0)

@@ -57,19 +57,18 @@ O(n) norm ||I - N||_inf.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .assembly import DecayModel, DiscreteSystem
+from .assembly import DiscreteSystem
 from .grids import Grid
 from .kernels import Kernel, tail_mass
 from .operator import StructuredOperator, fast_length
 from .quadrature import versine_transform
 
 __all__ = [
-    "DecayTail",
     "Solution",
     "SolveError",
     "StabilityReport",
@@ -112,22 +111,14 @@ class SolveError(RuntimeError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
-class DecayTail:
-    exponent: float
-    left_value: float
-    right_value: float
-
-
 @dataclass
 class Solution:
-    grid: Grid
-    indices: np.ndarray
+    """The system solved, its node values (values[k] at node
+    system.indices[k]) and the residual diagnostics."""
+
+    system: DiscreteSystem
     values: np.ndarray
-    variant: str
-    tail: DecayTail | None = None
-    exterior_data: Callable[[np.ndarray], np.ndarray] | None = None
-    diagnostics: Mapping[str, float | str] = field(default_factory=dict)
+    diagnostics: Mapping[str, float | str]
 
 
 def _circulant_condition(eigenvalues: np.ndarray) -> float:
@@ -314,61 +305,44 @@ def solve(system: DiscreteSystem, method: str = "structured") -> Solution:
         "route": method,
     }
 
-    tail = None
-    if system.decay is not None:
-        tail = DecayTail(
-            exponent=system.decay.exponent,
-            left_value=float(values[0]),
-            right_value=float(values[-1]),
-        )
-    return Solution(
-        grid=system.grid,
-        indices=system.indices,
-        values=values,
-        variant=system.variant,
-        tail=tail,
-        exterior_data=system.exterior_data,
-        diagnostics=diagnostics,
-    )
+    return Solution(system, values, diagnostics)
 
 
 def evaluate_solution(solution: Solution, x):
     """Reconstruct the solution at arbitrary points.
 
     Inside the window the node values are interpolated linearly (exact at
-    the nodes).  Outside, a decay tail extends the edge values continuously;
-    a Dirichlet solution defers to the exterior data it was solved with, and
-    evaluating it without that data is an error.
+    the nodes).  Outside, the solved system's exterior model applies: its
+    Dirichlet data, or its decay profile times the edge value on that side.
+    A system without its exterior data or decay model is an error.
     """
     x_arr = np.asarray(x, dtype=float)
     scalar = x_arr.ndim == 0
     pts = np.atleast_1d(x_arr)
-    grid = solution.grid
-    w = grid.half_width
-    nodes = grid.spacing * solution.indices
+    system = solution.system
+    values = solution.values
+    w = system.grid.half_width
+    nodes = system.grid.spacing * system.indices
+    outside = np.abs(pts) > w
 
-    if solution.variant == "dirichlet":
-        data = solution.exterior_data
+    if system.variant == "dirichlet":
+        data = system.exterior_data
         if data is None:
             raise ValueError("dirichlet solution needs exterior data for evaluation")
         xp = np.concatenate([[-w], nodes, [w]])
         edge = np.asarray(data(np.array([-w, w])), dtype=float)
-        fp = np.concatenate([[edge[0]], solution.values, [edge[1]]])
+        fp = np.concatenate([[edge[0]], values, [edge[1]]])
         out = np.interp(pts, xp, fp)
-        outside = np.abs(pts) > w
         if np.any(outside):
             out[outside] = np.asarray(data(pts[outside]), dtype=float)
     else:
-        if solution.tail is None:
-            raise ValueError("solution lacks a decay tail")
-        out = np.interp(pts, nodes, solution.values)
-        outside = np.abs(pts) > w
+        if system.decay is None:
+            raise ValueError("solution's system lacks a decay model")
+        out = np.interp(pts, nodes, values)
         if np.any(outside):
-            prof = DecayModel(solution.tail.exponent).profile(pts[outside], w)
-            side = np.where(
-                pts[outside] < 0, solution.tail.left_value, solution.tail.right_value
-            )
-            out[outside] = side * prof
+            far = pts[outside]
+            side = np.where(far < 0, float(values[0]), float(values[-1]))
+            out[outside] = side * system.decay.profile(far, w)
 
     return float(out[0]) if scalar else out
 

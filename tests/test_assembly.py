@@ -440,6 +440,15 @@ class TestCertificates:
         with pytest.raises(ValueError):
             GrowthCertificate(1.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "degree, constant", [(math.nan, 1.0), (math.inf, 1.0), (0.0, math.inf), (0.0, math.nan)]
+    )
+    def test_growth_certificate_refuses_non_finite_fields(self, degree, constant):
+        # a NaN degree once passed `degree < 0 or constant <= 0` and failed
+        # only at assembly, in the decay certificate built from it
+        with pytest.raises(ValueError, match="finite degree >= 0 and constant > 0"):
+            GrowthCertificate(degree, constant)
+
     def test_unknown_problem_type(self):
         with pytest.raises(TypeError):
             assemble(object(), build_grid(5.0, 64))

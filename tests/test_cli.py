@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from nldiff.cli import _parser, main
-from nldiff.quadrature import adaptive_quad, adaptive_quad_many
+from nldiff.quadrature import adaptive_quad_many
 
 
 def parse_kv(text):
@@ -241,8 +241,8 @@ class TestFailureExitCodes:
     def test_quadrature_budget_exhaustion(self, capsys, monkeypatch):
         monkeypatch.setattr(
             importlib.import_module("nldiff.harness"),
-            "adaptive_quad",
-            functools.partial(adaptive_quad, max_rounds=1),
+            "adaptive_quad_many",
+            functools.partial(adaptive_quad_many, max_rounds=1),
         )
         assert main(["check", "--problem", "realline-algebraic"]) == 3
         captured = capsys.readouterr()

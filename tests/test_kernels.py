@@ -161,6 +161,18 @@ class TestValidator:
             assert abs(report.first_moment) <= 1e-8
             assert all(v > 0.0 for v in report.tail_positivity.values())
 
+    def test_moments_match_the_exponential_sums(self, laplace, mixed):
+        # the integral of y^k c exp(-a |y|) over the line is 2 c k! / a^(k+1)
+        cases = ((laplace, laplace.terms), (mixed, mixed.terms),
+                 (laplace.without_closed_forms(), laplace.terms))
+        for kernel, terms in cases:
+            report = validate_kernel(kernel)
+            got = (report.mass, report.second_moment, report.fourth_moment)
+            for k, value in zip((0, 2, 4), got):
+                want = sum(2.0 * c * math.factorial(k) / a ** (k + 1) for c, a in terms)
+                assert value == pytest.approx(want, rel=1e-10)
+            assert abs(report.first_moment) <= 1e-10
+
     def test_doubled_mass_fails(self):
         bad = build_kernel(
             lambda y: np.exp(-np.abs(y)),
@@ -213,6 +225,21 @@ def test_build_kernel_derives_decay_constant():
     )
     assert k.decay_constant >= 0.5
     assert k.decay_constant <= 2.0
+
+
+@pytest.mark.parametrize("rate", [math.inf, math.nan, 0.0, -1.0])
+def test_build_kernel_refuses_a_non_finite_or_nonpositive_rate_before_probing(rate):
+    calls = []
+
+    def evaluate(y):
+        calls.append(y)
+        return 0.5 * np.exp(-np.abs(y))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="decay_rate must be positive and finite"):
+            build_kernel(evaluate, decay_rate=rate, sign_class=SignClass.NONNEGATIVE)
+    assert calls == []
 
 
 def test_build_kernel_rejects_a_false_decay_rate():

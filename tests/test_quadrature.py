@@ -111,6 +111,28 @@ def test_infinite_bound_requires_certificate():
         adaptive_quad(lambda y: np.exp(-y), 0.0, math.inf, 1e-10)
 
 
+@pytest.mark.parametrize(
+    "rate, constant", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan)]
+)
+def test_decay_certificate_refuses_non_finite_fields(rate, constant):
+    # an infinite rate once truncated the tail at 0 and returned value 0,
+    # error nan, converged, for an integral whose value is 1
+    with pytest.raises(ValueError, match="positive finite rate and constant"):
+        adaptive_quad(
+            lambda y: np.exp(-y), 0.0, math.inf, 1e-10, decay=DecayCertificate(rate, constant)
+        )
+    with pytest.raises(ValueError, match="positive finite rate and constant"):
+        DecayCertificate(rate, constant)
+
+
+@pytest.mark.parametrize(
+    "degree, constant", [(math.inf, 1.0), (2.0, math.inf), (math.nan, 1.0), (2.0, math.nan)]
+)
+def test_power_decay_certificate_refuses_non_finite_fields(degree, constant):
+    with pytest.raises(ValueError, match="finite degree > 1 and constant > 0"):
+        PowerDecayCertificate(degree, constant)
+
+
 def test_non_convergence_carries_best_estimate():
     with pytest.raises(QuadratureError) as info:
         adaptive_quad(

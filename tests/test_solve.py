@@ -37,7 +37,6 @@ from nldiff.operator import MAX_DENSE_SIZE, StructuredOperator, fast_length
 from nldiff.quadrature import _versine_panels, adaptive_quad
 from nldiff.solve import (
     SolveError,
-    Solution,
     _circulant_preconditioner,
     _preconditioned_cg,
     evaluate_solution,
@@ -73,7 +72,7 @@ class TestSolve:
 
     def test_sech_dirichlet_accuracy(self, sech_system):
         solution = solve(sech_system)
-        truth = sech(sech_system.grid.spacing * solution.indices)
+        truth = sech(sech_system.grid.spacing * solution.system.indices)
         assert np.abs(solution.values - truth).max() <= 5e-4
 
     def test_singular_matrix_raises_with_condition_estimate(self, sech_system):
@@ -89,15 +88,28 @@ class TestSolve:
 
     def test_tail_recorded_for_realline(self, line_system):
         solution = solve(line_system)
-        assert solution.tail is not None
-        assert solution.tail.exponent == 2.0
-        assert solution.tail.right_value == solution.values[-1]
-        assert solution.variant == "realline"
+        assert solution.system.decay is not None
+        assert solution.system.decay.exponent == 2.0
+        assert solution.system.variant == "realline"
+        # the tail is anchored at the last node value, bit for bit
+        w = line_system.grid.half_width
+        assert evaluate_solution(solution, 3.0 * w) == (
+            solution.values[-1] * line_system.decay.profile(3.0 * w, w)
+        )
 
     def test_no_tail_for_dirichlet(self, sech_system):
         solution = solve(sech_system)
-        assert solution.tail is None
-        assert solution.exterior_data is not None
+        assert solution.system.decay is None
+        assert solution.system.exterior_data is not None
+
+    @pytest.mark.parametrize("method", ["structured", "dense"])
+    def test_solution_keeps_its_system(self, sech_system, line_system, method):
+        for system in (sech_system, line_system):
+            solution = solve(system, method=method)
+            assert solution.system is system
+            assert [f.name for f in dataclasses.fields(solution)] == [
+                "system", "values", "diagnostics",
+            ]
 
 
 class TestStructuredRoute:
@@ -434,7 +446,7 @@ class TestSolveFaults:
 class TestEvaluateSolution:
     def test_exact_at_nodes(self, sech_system):
         solution = solve(sech_system)
-        nodes = sech_system.grid.spacing * solution.indices
+        nodes = sech_system.grid.spacing * solution.system.indices
         np.testing.assert_array_equal(evaluate_solution(solution, nodes), solution.values)
 
     def test_scalar_in_float_out(self, sech_system):
@@ -448,13 +460,15 @@ class TestEvaluateSolution:
         # outside the window the evaluation hands back the problem's own
         # exterior data, bit for bit
         np.testing.assert_array_equal(
-            evaluate_solution(solution, pts), solution.exterior_data(pts)
+            evaluate_solution(solution, pts), solution.system.exterior_data(pts)
         )
         np.testing.assert_allclose(evaluate_solution(solution, pts), sech(pts), rtol=1e-15)
 
     def test_dirichlet_needs_exterior_data(self, sech_system):
         solution = solve(sech_system)
-        bare = dataclasses.replace(solution, exterior_data=None)
+        bare = dataclasses.replace(
+            solution, system=dataclasses.replace(solution.system, exterior_data=None)
+        )
         with pytest.raises(ValueError):
             evaluate_solution(bare, 0.5)
 
@@ -469,11 +483,56 @@ class TestEvaluateSolution:
             solution.values[0] / 4.0, rel=1e-14
         )
 
+    @pytest.mark.parametrize(
+        "problem_id", ["dirichlet-sech", "realline-algebraic", "neumann-discontinuous"]
+    )
+    def test_matches_the_copied_field_reconstruction(self, problem_id):
+        case = registry()[problem_id].build(10.0)
+        system = assemble(case.problem, build_grid(case.solve_half_width, 200))
+        solution = solve(system)
+        w = system.grid.half_width
+        # inside and outside the window, both tails, the nodes and the edges
+        pts = np.concatenate([np.linspace(-4.5 * w, 4.5 * w, 2001), [-w, w]])
+        tail = None
+        if system.decay is not None:
+            tail = (system.decay.exponent, float(solution.values[0]), float(solution.values[-1]))
+        want = copied_field_reconstruction(
+            system.grid, system.indices, solution.values, system.variant, tail,
+            system.exterior_data, pts,
+        )
+        np.testing.assert_array_equal(evaluate_solution(solution, pts), want)
+
     def test_realline_without_tail_rejected(self, line_system):
         solution = solve(line_system)
-        bare = dataclasses.replace(solution, tail=None)
+        bare = dataclasses.replace(
+            solution, system=dataclasses.replace(solution.system, decay=None)
+        )
         with pytest.raises(ValueError):
             evaluate_solution(bare, 2.0 * line_system.grid.half_width)
+
+
+def copied_field_reconstruction(grid, indices, values, variant, tail, exterior_data, x):
+    """The reconstruction from fields copied out of the system when it was
+    solved: ``tail`` is (exponent, left value, right value) for the whole
+    line and the flux closure, None for Dirichlet."""
+    pts = np.atleast_1d(np.asarray(x, dtype=float))
+    w = grid.half_width
+    nodes = grid.spacing * indices
+    if variant == "dirichlet":
+        xp = np.concatenate([[-w], nodes, [w]])
+        edge = np.asarray(exterior_data(np.array([-w, w])), dtype=float)
+        out = np.interp(pts, xp, np.concatenate([[edge[0]], values, [edge[1]]]))
+        outside = np.abs(pts) > w
+        if np.any(outside):
+            out[outside] = np.asarray(exterior_data(pts[outside]), dtype=float)
+    else:
+        exponent, left_value, right_value = tail
+        out = np.interp(pts, nodes, values)
+        outside = np.abs(pts) > w
+        if np.any(outside):
+            prof = DecayModel(exponent).profile(pts[outside], w)
+            out[outside] = np.where(pts[outside] < 0, left_value, right_value) * prof
+    return out
 
 
 def laplace_symbol(j, radius):
