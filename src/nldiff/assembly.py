@@ -59,13 +59,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DecayModel:
-    """Exterior model u(x) ~ u(edge) * (edge/|x|)**exponent, exponent > 0."""
+    """Exterior model u(x) ~ u(edge) * (edge/|x|)**exponent, exponent > 0 and finite."""
 
     exponent: float
 
     def __post_init__(self) -> None:
-        if not self.exponent > 0:
-            raise ValueError("decay exponent must be positive")
+        if not 0 < self.exponent < math.inf:
+            raise ValueError("decay exponent must be positive and finite, got %r" % self.exponent)
 
     def profile(self, x, edge: float) -> np.ndarray:
         ax = np.maximum(np.abs(np.asarray(x, dtype=float)), edge)
@@ -123,7 +123,6 @@ class DiscreteSystem:
     variant: str
     grid: Grid
     kernel: Kernel
-    weights: WeightSet
     indices: np.ndarray
     decay: DecayModel | None = None
     exterior_data: Callable[[np.ndarray], np.ndarray] | None = None
@@ -189,8 +188,10 @@ def realline_boundary_terms(
     normalized by the decay profile at the window edge.
 
     B1_i covers the left tail y <= -weight_radius, B2 the mirror image; with
-    a symmetric kernel B2_i = B1_{-i}.  A kernel with closed forms (any
-    exponential sum) takes its exp_int exterior moment; anything else
+    a symmetric kernel B2_i = B1_{-i}.  Both routes integrate the ratio
+    (half_width / |x_i + s|)**exponent, so no half_width**exponent is formed
+    and a large exponent stays in the floats.  A kernel with closed forms
+    (any exponential sum) takes its exp_int exterior moment; anything else
     integrates numerically.  method "closed" insists on the closed moment
     and "quadrature" integrates even when it exists.
     """
@@ -198,19 +199,20 @@ def realline_boundary_terms(
     k = grid.steps // 2
     xi = grid.spacing * np.arange(-k, k + 1)
     radius = grid.weight_radius
-    scale = grid.half_width ** decay.exponent
+    edge = grid.half_width
+    q = decay.exponent
     if kernel.terms is not None:
-        b1 = scale * kernel.exterior_moment(xi, radius, decay.exponent)
+        b1 = kernel.exterior_moment(xi, radius, q, edge)
         return b1, b1[::-1].copy()
 
-    q = decay.exponent
-    # |center + s| >= radius - half_width on the whole integration range
-    cert = kernel.decay().times_power(-q, radius - grid.half_width)
+    # |center + s| / edge >= (radius - edge) / edge on the whole integration
+    # range, so the ratio is at most its value there
+    cert = kernel.decay().times_power(-q, (radius - edge) / edge)
     # scale the tolerance to the certified tail size; these integrals sit far
     # below any fixed absolute tolerance
     tol = max(1e-12 * cert.tail_bound(radius), 1e-300)
-    b1 = scale * adaptive_quad_many(
-        lambda s, owner: np.abs(xi[owner] + s) ** (-q) * kernel.evaluate(s),
+    b1 = adaptive_quad_many(
+        lambda s, owner: (edge / np.abs(xi[owner] + s)) ** q * kernel.evaluate(s),
         np.full(xi.size, radius),
         math.inf,
         tol,
@@ -247,7 +249,6 @@ def assemble_dirichlet(
         variant="dirichlet",
         grid=grid,
         kernel=problem.kernel,
-        weights=weights,
         indices=idx,
         exterior_data=g,
     )
@@ -284,7 +285,6 @@ def assemble_realline(
         variant=variant,
         grid=grid,
         kernel=problem.kernel,
-        weights=weights,
         indices=idx,
         decay=problem.decay,
     )

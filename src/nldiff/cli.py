@@ -60,9 +60,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_converge(args: argparse.Namespace) -> int:
     _lookup(args.problem)
-    report = run_convergence(
-        args.problem, _parse_floats(args.L), _parse_ints(args.M), workers=args.workers
-    )
+    report = run_convergence(args.problem, _parse_floats(args.L), _parse_ints(args.M))
     if args.out is None:
         emit_csv(report, sys.stdout)
     else:
@@ -133,7 +131,6 @@ def _parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--L", required=True, help="comma separated half widths")
     p_conv.add_argument("--M", required=True, help="comma separated step counts (>= 3)")
     p_conv.add_argument("--out", default=None)
-    p_conv.add_argument("--workers", type=int, default=1)
     p_conv.set_defaults(func=_cmd_converge)
 
     p_check = sub.add_parser("check", help="forcing moment conditions")

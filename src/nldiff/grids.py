@@ -67,6 +67,8 @@ class Grid:
 
 
 def build_grid(half_width: float, steps: int) -> Grid:
+    if not float(steps).is_integer():
+        raise ValueError("grid step count must be an integer, got %r" % steps)
     return Grid(float(half_width), int(steps))
 
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 import logging
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -553,11 +552,7 @@ def _run_cell(
 
 
 def run_convergence(
-    problem_id: str,
-    half_widths: Sequence[float],
-    step_counts: Sequence[int],
-    *,
-    workers: int = 1,
+    problem_id: str, half_widths: Sequence[float], step_counts: Sequence[int]
 ) -> ConvergenceReport:
     """Sweep the problem over half widths and step counts.
 
@@ -581,11 +576,7 @@ def run_convergence(
         for lw in sorted(half_widths)
         for m in sorted(step_counts)
     ]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda c: _run_cell(entry, *c), cells))
-    else:
-        outcomes = [_run_cell(entry, *cell) for cell in cells]
+    outcomes = [_run_cell(entry, *cell) for cell in cells]
     rows = [row for row, _ in outcomes]
     scales = {id(row): scale for row, scale in outcomes}
 

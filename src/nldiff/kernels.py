@@ -100,23 +100,25 @@ class Kernel:
         """F(y) = sum of c/a^2 exp(-a |y|)."""
         return _exp_sum(self._closed()[1], y, np.exp)
 
-    def exterior_moment(self, center, radius: float, exponent: float) -> np.ndarray:
-        """int_radius^inf (center + s)^-exponent nu(s) ds for center + radius > 0.
+    def exterior_moment(self, center, radius: float, exponent: float, edge: float) -> np.ndarray:
+        """int_radius^inf (edge / (center + s))^exponent nu(s) ds for center + radius > 0.
 
         Term by term the substitution t = a (center + s) gives
-        c e^(a center) (center + radius)^(1 - exponent) E_exponent(a (center + radius)).
-        Where e^(a center) overflows, E has underflowed to 0 (for radius >=
-        2 center its argument is at least three times a center), and so has
-        the term.
+        c e^(a center) (center + radius) (edge / (center + radius))^exponent
+        E_exponent(a (center + radius)); the ratio is formed before its power,
+        so edge^exponent is never formed.  Where e^(a center) overflows, E
+        has underflowed to 0 (for radius >= 2 center its argument is at
+        least three times a center), and so has the term.
         """
         self._closed()
         x = np.asarray(center, dtype=float)
-        power = (x + radius) ** (1.0 - exponent)
+        start = x + radius
+        weight = start * (edge / start) ** exponent
         total = 0.0
         for c, a in self.terms:
-            tail = exp_int(exponent, a * (x + radius))
+            tail = exp_int(exponent, a * start)
             with np.errstate(over="ignore", invalid="ignore"):
-                total = total + np.where(tail == 0.0, 0.0, c * np.exp(a * x) * power * tail)
+                total = total + np.where(tail == 0.0, 0.0, c * np.exp(a * x) * weight * tail)
         return total
 
 
@@ -144,15 +146,11 @@ def build_kernel(
     sign_changes: Sequence[float] = (),
     name: str = "custom",
 ) -> Kernel:
-    """Construct a kernel, checking its decay and deriving the L1 norm up front.
+    """Construct a kernel, checking its decay and deriving the L1 norm.
 
     |nu(y)| exp(decay_rate y) is probed out to y = 708 / decay_rate: a ratio
     that still grows there makes the rate false, and a declared constant
     below its peak is false; without one the constant is 1.25 times the peak.
-
-    The L1 norm is computed once here (not lazily) so that kernel objects
-    are safe to share across worker threads without hidden first-call
-    state.
     """
     if not 0 < decay_rate < math.inf:
         raise ValueError("decay_rate must be positive and finite, got %r" % decay_rate)
@@ -352,11 +350,13 @@ class KernelValidationReport:
         return all(self.checks.values())
 
 
-def validate_kernel(
-    kernel: Kernel,
-    tail_check_half_widths: Sequence[float] = (2.0, 5.0, 10.0),
-    tol: float = 1e-8,
-) -> KernelValidationReport:
+# validate_kernel's tolerance on the mass and the first moment, and the
+# half widths L whose tail masses beyond 2L it records
+_VALIDATION_TOL = 1e-8
+_TAIL_CHECK_HALF_WIDTHS = (2.0, 5.0, 10.0)
+
+
+def validate_kernel(kernel: Kernel) -> KernelValidationReport:
     """Check the standing assumptions on a kernel; failures are recorded in
     the report rather than raised, so callers can present them.
     """
@@ -367,7 +367,7 @@ def validate_kernel(
         lambda y, owner: y ** powers[owner] * kernel.evaluate(y),
         np.full(powers.size, -math.inf),
         math.inf,
-        min(tol * 1e-2, 1e-10),
+        min(_VALIDATION_TOL * 1e-2, 1e-10),
         decay=[cert.times_power(p) for p in powers],
         breakpoints=kernel.sign_changes,
     ).value.tolist()
@@ -378,8 +378,8 @@ def validate_kernel(
     symmetric = float(np.abs(vals - vals[::-1]).max()) <= 1e-12 * peak
 
     checks: dict[str, bool] = {
-        "mass_normalized": abs(mass - 1.0) <= tol,
-        "zero_first_moment": abs(first) <= tol,
+        "mass_normalized": abs(mass - 1.0) <= _VALIDATION_TOL,
+        "zero_first_moment": abs(first) <= _VALIDATION_TOL,
         "symmetric": symmetric,
     }
 
@@ -387,8 +387,8 @@ def validate_kernel(
         checks["nonnegative"] = float(vals.min()) >= -1e-12 * peak
 
     tails: dict[float, float] = {}
-    for half_width in tail_check_half_widths:
-        tails[float(half_width)] = tail_mass(kernel, 2.0 * float(half_width))
+    for half_width in _TAIL_CHECK_HALF_WIDTHS:
+        tails[half_width] = tail_mass(kernel, 2.0 * half_width)
     if kernel.sign_class is SignClass.MIXED_WITH_POSITIVE_TAIL:
         checks["positive_tails"] = all(v > 0.0 for v in tails.values())
 

@@ -6,7 +6,7 @@ of Gauss rules (7 and 15 points) on every active panel with vectorized
 integrand calls, freezes panels whose two-rule disagreement is already
 below their integral's share of its error budget, and bisects the rest; an
 integral leaves the worklist as soon as it converges.  Per-integral sums
-are bincounts over the owner tags, so every integral meets exactly the
+are one bincount over the owner tags, so every integral meets exactly the
 rules it would meet alone and does exactly the evaluations it would do
 alone.  `adaptive_quad` is its one-integral case, so there is one
 refinement loop.  The two-rule gap is a conservative error estimate for
@@ -54,9 +54,15 @@ _T7, _W7 = np.polynomial.legendre.leggauss(7)
 _EPS = float(np.finfo(float).eps)
 # absorbs the rounding of the peak computations in the certificate algebra
 _SAFETY = 1.0000001
+# the largest log a certificate constant can have before _SAFETY scales it
+_LOG_MAX = math.log(float(np.finfo(float).max) / _SAFETY)
 # versine_transform doubles its panel count up to this many panels; it keeps
 # O(panels) memory, some tens of MB at the cap
 _VERSINE_PANEL_CAP = 1 << 20
+# adaptive_quad_many's budget per integral: refinement rounds, and live
+# panels after a round's bisection
+_MAX_ROUNDS = 64
+_PANEL_CAP = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -112,7 +118,7 @@ class DecayCertificate:
         (degree < 0, offset > 0) is bounded by offset ** degree and keeps the
         rate; a growing one halves the rate and absorbs
         max over t >= 0 of (offset + t) ** degree * exp(-rate t / 2) into the
-        constant.
+        constant; raises ValueError when that constant leaves the floats.
         """
         if degree == 0:
             return self
@@ -120,8 +126,13 @@ class DecayCertificate:
             return DecayCertificate(self.rate, self.constant * offset ** degree * _SAFETY)
         rate = self.rate / 2.0
         peak_at = max(0.0, degree / rate - offset)
-        peak = (offset + peak_at) ** degree * math.exp(-rate * peak_at)
-        return DecayCertificate(rate, self.constant * peak * _SAFETY)
+        # in logs: the power and the exponential can each leave the floats
+        # while their product does not
+        log_peak = degree * math.log(offset + peak_at) - rate * peak_at
+        log_constant = math.log(self.constant) + log_peak
+        if not log_constant < _LOG_MAX:
+            raise ValueError("times_power of degree %g leaves the floats" % degree)
+        return DecayCertificate(rate, math.exp(log_constant) * _SAFETY)
 
 
 @dataclass(frozen=True)
@@ -258,8 +269,6 @@ def adaptive_quad_many(
     rel: float = 0.0,
     decay: Certificate | Sequence[Certificate | None] | None = None,
     breakpoints: Sequence[float] = (),
-    max_rounds: int = 64,
-    panel_cap: int = 1 << 17,
 ) -> QuadratureResult:
     """Integrate ``f`` over K intervals [lower_i, upper_i] from one worklist.
 
@@ -271,7 +280,7 @@ def adaptive_quad_many(
     `adaptive_quad` on its own: its own goal max(tol_i, rel |value_i|,
     64 eps l1_i), its own per-panel share of it, its own truncation point
     and certified tail from its own certificate, its own edge ladder, its
-    own panel cap and round count.  ``tol`` and ``decay`` are one value for
+    own _PANEL_CAP and _MAX_ROUNDS.  ``tol`` and ``decay`` are one value for
     all integrals or one per integral; ``breakpoints`` are shared and seed
     edges inside every interval that contains them.  An integral leaves the
     worklist once it converges, so each does exactly the evaluations it
@@ -325,28 +334,31 @@ def adaptive_quad_many(
         raise ValueError("lower endpoint must not exceed upper endpoint")
 
     lo, hi, owner = _initial_panels(lower, upper, upper_cut, lower_cut, breakpoints)
-    # running sums of the panels each integral has frozen; an empty interval
-    # is finished before the first round with value 0 and its tail as error
-    frozen_value = np.zeros(count)
-    frozen_error = tail.copy()
-    frozen_l1 = np.zeros(count)
-    frozen_count = np.zeros(count, dtype=int)
+    # running sums over the panels each integral has frozen: value, error,
+    # l1 norm and panel count; an empty interval is finished before the
+    # first round with value 0 and its tail as error
+    frozen = np.zeros((4, count))
+    frozen[1] = tail
     evaluations = 0
     value = np.zeros(count)
     error = tail.copy()
     live = lower < upper
     converged = np.ones(count, dtype=bool)
     # an exhausted integral gets one last evaluation for its best estimate
-    exhausted = live & (max_rounds <= 0)
+    exhausted = np.zeros(count, dtype=bool)
+    # bin i + count * r sums row r of integral i in panel order, as a
+    # bincount per row would
+    row_bins = count * np.arange(4)[:, None]
 
     panels = np.bincount(owner, minlength=count)
-    for round_ in range(max(max_rounds, 0) + 1):
+    for round_ in range(_MAX_ROUNDS + 1):
         fine, gap = _panel_values(f, lo, hi, owner)
         evaluations += _POINTS * lo.size
-        size = np.abs(fine)
-        total = frozen_value + np.bincount(owner, fine, count)
-        spread = frozen_error + np.bincount(owner, gap, count)
-        l1 = frozen_l1 + np.bincount(owner, size, count)
+        # per panel: value, gap, l1 norm, count
+        stats = np.stack([fine, gap, np.abs(fine), np.ones(lo.size)])
+        total, spread, l1 = frozen[:3] + np.bincount(
+            (owner + row_bins[:3]).ravel(), stats[:3].ravel(), 3 * count
+        ).reshape(3, count)
         goal = np.maximum(np.maximum(tol, rel * np.abs(total)), 64.0 * _EPS * l1)
 
         done = live & (exhausted | (spread <= goal))
@@ -357,14 +369,12 @@ def adaptive_quad_many(
         if not live.any():
             break
 
-        share = goal / (2.0 * (panels + frozen_count + 1))
+        share = goal / (2.0 * (panels + frozen[3] + 1))
         refining = live[owner]
         settled = refining & (gap <= share[owner])
-        held = owner[settled]
-        frozen_value += np.bincount(held, fine[settled], count)
-        frozen_error += np.bincount(held, gap[settled], count)
-        frozen_l1 += np.bincount(held, size[settled], count)
-        frozen_count += np.bincount(held, minlength=count)
+        frozen += np.bincount(
+            (owner[settled] + row_bins).ravel(), stats[:, settled].ravel(), 4 * count
+        ).reshape(4, count)
 
         split = refining & ~settled
         lo, hi, owner = lo[split], hi[split], owner[split]
@@ -373,8 +383,8 @@ def adaptive_quad_many(
         hi = np.concatenate([mid, hi])
         owner = np.concatenate([owner, owner])
         panels = np.bincount(owner, minlength=count)
-        exhausted |= live & (panels > panel_cap)
-        if round_ + 1 >= max_rounds:
+        exhausted |= live & (panels > _PANEL_CAP)
+        if round_ + 1 >= _MAX_ROUNDS:
             exhausted |= live
 
     result = QuadratureResult(value, error, evaluations, bool(converged.all()))
@@ -408,8 +418,6 @@ def adaptive_quad(
     rel: float = 0.0,
     decay: Certificate | None = None,
     breakpoints: Sequence[float] = (),
-    max_rounds: int = 64,
-    panel_cap: int = 1 << 17,
 ) -> QuadratureResult:
     """Integrate ``f`` over [lower, upper] to absolute tolerance ``tol``.
 
@@ -422,8 +430,8 @@ def adaptive_quad(
     means "as accurate as float64 allows".  This is the one-integral case of
     `adaptive_quad_many`.
 
-    Raises QuadratureError (carrying the best estimate) if the panel budget
-    runs out first.
+    Raises QuadratureError (carrying the best estimate) if the round or
+    panel budget runs out first.
     """
     try:
         batch = adaptive_quad_many(
@@ -434,8 +442,6 @@ def adaptive_quad(
             rel=rel,
             decay=decay,
             breakpoints=breakpoints,
-            max_rounds=max_rounds,
-            panel_cap=panel_cap,
         )
     except QuadratureError as exc:
         raise QuadratureError(str(exc), _first(exc.result)) from None

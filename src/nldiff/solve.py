@@ -31,9 +31,9 @@ whole table comes from one pass (`quadrature.versine_transform`): nu is
 evaluated once at the 15 Gauss nodes of equal panels with edges on the
 hat grid, so the kink of nu at 0 sits on an edge, and one batched FFT over
 the 15 Gauss nodes gives C_j for every j.  The panel count doubles until
-two resolutions agree to `tol` in every sample; their worst gap is
-reported as `symbol_error_estimate`.  The subtraction S - C_j loses about
-eps * ||nu||_1 in absolute terms, far inside `tol`.  The tail mass, which
+two resolutions agree to _SYMBOL_TOL = 1e-10 in every sample; their worst
+gap is reported as `symbol_error_estimate`.  The subtraction S - C_j loses
+about eps * ||nu||_1 in absolute terms, far inside that tolerance.  The tail mass, which
 can sit far below that rounding level, is added apart and never cancels:
 symbol_0 is the tail mass exactly.
 
@@ -85,6 +85,8 @@ _CG_RTOL = 1e-14
 # the preconditioned iteration converges in 8-17 steps on every registry
 # problem; hundreds mean the core is close to singular
 _CG_MAX_ITERATIONS = 500
+# estimated absolute error allowed in each symbol sample of the stability report
+_SYMBOL_TOL = 1e-10
 
 
 class SolveError(RuntimeError):
@@ -360,20 +362,20 @@ class StabilityReport:
     symbol_error_estimate: float
 
 
-def _symbol_samples(kernel: Kernel, grid: Grid, tol: float) -> tuple[np.ndarray, float]:
+def _symbol_samples(kernel: Kernel, grid: Grid) -> tuple[np.ndarray, float]:
     radius = grid.weight_radius
-    table = versine_transform(kernel.evaluate, radius, grid.steps, tol / 2.0)
+    table = versine_transform(kernel.evaluate, radius, grid.steps, _SYMBOL_TOL / 2.0)
     symbol = tail_mass(kernel, radius) + 2.0 * table.value
     return symbol, 2.0 * table.abs_error_estimate
 
 
-def stability_report(system: DiscreteSystem, tol: float = 1e-10) -> StabilityReport:
+def stability_report(system: DiscreteSystem) -> StabilityReport:
     """Symbol samples plus the variant's algebraic stability certificate.
 
     Dirichlet systems are symmetric, so the certificate is a bracket on
     the smallest eigenvalue, stable when its certified lower end is
     positive; real line systems lose symmetry through the boundary columns
-    and certify through ||I - N||_inf < 1 instead.  ``tol`` bounds the
+    and certify through ||I - N||_inf < 1 instead.  _SYMBOL_TOL bounds the
     estimated absolute error of each symbol sample; a table that does not
     reach it raises QuadratureError.
     """
@@ -396,7 +398,7 @@ def stability_report(system: DiscreteSystem, tol: float = 1e-10) -> StabilityRep
         contraction = StructuredOperator(gap_column, -operator.edge).norm_inf()
         stable = contraction < 1.0
 
-    symbol, symbol_error = _symbol_samples(kernel, grid, tol)
+    symbol, symbol_error = _symbol_samples(kernel, grid)
     q = system.decay.exponent if system.decay is not None else math.inf
     damp = 1.0 if math.isinf(q) else 1.0 - 3.0 ** (-q)
     bound = damp * tail_mass(kernel, 2.0 * grid.weight_radius)

@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import importlib
 
 import numpy as np
 import pytest
@@ -47,3 +49,39 @@ def counted():
         return dataclasses.replace(kernel, evaluate=counting), count
 
     return wrap
+
+
+@pytest.fixture
+def quadrature_budget(monkeypatch):
+    """(module, rounds=None, panels=None) -> None.  For this test, the
+    adaptive quadratures that ``module`` calls by the names it imported run
+    with at most ``rounds`` refinement rounds and ``panels`` live panels per
+    integral; calls from every other module keep the package's budget."""
+    quadrature = importlib.import_module("nldiff.quadrature")
+
+    def limit(module, rounds=None, panels=None):
+        budget = {
+            name: value
+            for name, value in (("_MAX_ROUNDS", rounds), ("_PANEL_CAP", panels))
+            if value is not None
+        }
+
+        def limited(entry):
+            @functools.wraps(entry)
+            def call(*args, **kwargs):
+                saved = {name: getattr(quadrature, name) for name in budget}
+                for name, value in budget.items():
+                    setattr(quadrature, name, value)
+                try:
+                    return entry(*args, **kwargs)
+                finally:
+                    for name, value in saved.items():
+                        setattr(quadrature, name, value)
+
+            return call
+
+        for name in ("adaptive_quad", "adaptive_quad_many"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, limited(getattr(module, name)))
+
+    return limit

@@ -29,8 +29,8 @@ from nldiff.solve import stability_report
 ORDER_BAND = (1.7, 2.3)
 
 
-def fitted_order(problem_id, half_width, step_counts, **kw):
-    report = run_convergence(problem_id, [half_width], step_counts, **kw)
+def fitted_order(problem_id, half_width, step_counts):
+    report = run_convergence(problem_id, [half_width], step_counts)
     errors = [row.linf_error for row in report.rows]
     return report.fitted_orders[(problem_id, half_width)], errors
 
@@ -226,8 +226,8 @@ def test_boundary_condition_comparison():
     # on the algebraically decaying forcing the zero-exterior closure stalls
     # while the whole-line scheme keeps converging
     steps = [200, 400, 800, 1600, 3200]
-    _, line_errors = fitted_order("comparison-algebraic-realline", 20.0, steps, workers=2)
-    _, diri_errors = fitted_order("comparison-algebraic-dirichlet", 20.0, steps, workers=2)
+    _, line_errors = fitted_order("comparison-algebraic-realline", 20.0, steps)
+    _, diri_errors = fitted_order("comparison-algebraic-dirichlet", 20.0, steps)
     assert min(diri_errors) > 1e-4
     assert diri_errors[-1] / line_errors[-1] >= 10.0
     elapsed = time.perf_counter() - start

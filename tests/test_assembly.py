@@ -308,6 +308,21 @@ class TestRealLineBoundaryTerms:
             assert np.all(np.isfinite(closed)) and closed.min() >= 0.0
             assert closed.max() <= 1e-300 and not quad.any()
 
+    @pytest.mark.parametrize("kernel", [laplace_kernel(), mixed_exponential_kernel()])
+    def test_steep_decay_on_both_routes(self, kernel):
+        # 10 ** 400 leaves the floats and (x + R) ** -399 underflows; the
+        # ratio (L / |x + s|) ** 400 does neither
+        grid = build_grid(10.0, 100)
+        decay = DecayModel(400.0)
+        closed, _ = realline_boundary_terms(kernel, grid, decay, method="closed")
+        quad, _ = realline_boundary_terms(kernel, grid, decay, method="quadrature")
+        assert np.all(np.isfinite(closed)) and closed.min() > 0.0
+        np.testing.assert_allclose(quad, closed, rtol=0.0, atol=1e-9 * closed.max())
+        # at the left edge node the ratio starts at 1 and falls like
+        # e^(-40 t) against the kernel's e^(-t), so B1 is near nu(R) / 41
+        kernel_at_radius = float(kernel.evaluate(np.array([grid.weight_radius]))[0])
+        assert closed[0] == pytest.approx(kernel_at_radius / 41.0, rel=0.05)
+
     def test_closed_route_is_a_capability_not_a_name(self):
         # e^{-2|y|} carrying the exponential kernel's name has no closed
         # moment; the exp_int formula is off by four orders of magnitude here
@@ -427,6 +442,13 @@ class TestCertificates:
             DecayModel(0.0)
         with pytest.raises(ValueError):
             DecayModel(-1.0)
+
+    @pytest.mark.parametrize("exponent", [math.inf, math.nan])
+    def test_decay_model_refuses_a_non_finite_exponent(self, exponent):
+        # an infinite exponent would reach exp_int and stall its continued
+        # fraction at assembly
+        with pytest.raises(ValueError, match="positive and finite"):
+            DecayModel(exponent)
 
     def test_decay_profile_clamps_at_edge(self):
         model = DecayModel(2.0)

@@ -1,6 +1,5 @@
 """Command line front end, driven through main(argv)."""
 
-import functools
 import importlib
 import math
 
@@ -8,7 +7,6 @@ import numpy as np
 import pytest
 
 from nldiff.cli import _parser, main
-from nldiff.quadrature import adaptive_quad_many
 
 
 def parse_kv(text):
@@ -93,8 +91,6 @@ class TestConverge:
                 "16,32,64",
                 "--out",
                 str(dest),
-                "--workers",
-                "2",
             ]
         )
         assert code == 0
@@ -110,6 +106,20 @@ class TestConverge:
         assert "\n" not in err
         assert "unknown problem" in err
         assert "realline-algebraic" in err
+
+    def test_workers_flag_is_refused(self, capsys):
+        # a sweep is one serial loop and takes no worker count
+        with pytest.raises(SystemExit) as err:
+            main(
+                [
+                    "converge", "--problem", "dirichlet-sech", "--L", "5",
+                    "--M", "16,32,64", "--workers", "2",
+                ]
+            )
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --workers 2" in captured.err
 
     def test_too_few_step_counts_is_a_clean_error(self, capsys):
         code = main(
@@ -238,12 +248,8 @@ class TestFailureExitCodes:
         assert "\n" not in err
         assert "capacitance is singular" in err and "iterations=" in err
 
-    def test_quadrature_budget_exhaustion(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            importlib.import_module("nldiff.harness"),
-            "adaptive_quad_many",
-            functools.partial(adaptive_quad_many, max_rounds=1),
-        )
+    def test_quadrature_budget_exhaustion(self, capsys, quadrature_budget):
+        quadrature_budget(importlib.import_module("nldiff.harness"), rounds=1)
         assert main(["check", "--problem", "realline-algebraic"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -251,15 +257,12 @@ class TestFailureExitCodes:
         assert "\n" not in err
         assert "did not reach" in err and "best estimate" in err
 
-    def test_batched_quadrature_exhaustion(self, capsys, monkeypatch):
+    def test_batched_quadrature_exhaustion(self, capsys, monkeypatch, quadrature_budget):
         # building the registry audits the closed sech boundary terms against
-        # the batched boundary quadrature
+        # the batched boundary quadrature; the tail-mass audit before it
+        # keeps the full budget
         monkeypatch.setattr(importlib.import_module("nldiff.harness"), "_REGISTRY", None)
-        monkeypatch.setattr(
-            importlib.import_module("nldiff.assembly"),
-            "adaptive_quad_many",
-            functools.partial(adaptive_quad_many, max_rounds=1),
-        )
+        quadrature_budget(importlib.import_module("nldiff.assembly"), rounds=1)
         code = main(["solve", "--problem", "dirichlet-sech", "--L", "5", "--M", "64"])
         assert code == 3
         captured = capsys.readouterr()

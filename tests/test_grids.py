@@ -45,6 +45,17 @@ class TestGrid:
         with pytest.raises(ValueError):
             build_grid(10.0, steps)
 
+    @pytest.mark.parametrize("steps", [100.5, 64.25, math.inf, math.nan])
+    def test_non_integral_steps_rejected(self, steps):
+        # int() alone would truncate 100.5 to a 100-step grid without a word
+        with pytest.raises(ValueError, match="must be an integer"):
+            build_grid(10.0, steps)
+
+    @pytest.mark.parametrize("steps", [100.0, np.int64(100), np.float64(100.0)])
+    def test_integral_steps_of_any_type_accepted(self, steps):
+        grid = build_grid(10.0, steps)
+        assert grid.steps == 100 and type(grid.steps) is int
+
     def test_too_few_steps_rejected(self):
         with pytest.raises(ValueError):
             build_grid(10.0, 2)

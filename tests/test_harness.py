@@ -351,13 +351,6 @@ class TestRunConvergence:
             ("dirichlet-sech", 8.0),
         }
 
-    def test_threaded_sweep_matches_serial(self):
-        serial = run_convergence("dirichlet-sech", [5.0], [32, 64, 128])
-        threaded = run_convergence("dirichlet-sech", [5.0], [32, 64, 128], workers=3)
-        for a, b in zip(serial.rows, threaded.rows):
-            assert a.linf_error == b.linf_error
-        assert serial.fitted_orders == threaded.fitted_orders
-
 
 class TestEmitCsv:
     def test_header_and_roundtrip(self, tmp_path):

@@ -358,8 +358,14 @@ _ORACLES = {
         tail=lambda r: math.exp(-r),
         m1=lambda h: 0.5 * _exp_moment(1.0, 2, h) / (h * h),
         m3=lambda h: 0.5 * _exp_moment(1.0, 4, h),
-        # substitute t = center + s: e^center / 2 * int_a^inf t^-p e^-t dt
-        exterior=lambda x, r, p: 0.5 * np.exp(x) * (r + x) ** (1.0 - p) * exp_int(p, r + x),
+        # substitute t = center + s: e^center / 2 * int_(r+x)^inf (L / t)^p e^-t dt,
+        # the power taken of the ratio L / (r + x)
+        exterior=lambda x, r, p, L: (
+            0.5 * np.exp(x) * ((r + x) * (L / (r + x)) ** p) * exp_int(p, r + x)
+        ),
+        # the same moment without the edge factor; L**p times it must agree
+        # with the ratio form to rounding
+        unnormalized=lambda x, r, p: 0.5 * np.exp(x) * (r + x) ** (1.0 - p) * exp_int(p, r + x),
     ),
     "mixed": dict(
         nu=lambda y: 1.5 * np.exp(-np.abs(y)) - 2.0 * np.exp(-2.0 * np.abs(y)),
@@ -368,7 +374,11 @@ _ORACLES = {
         tail=lambda r: 3.0 * math.exp(-r) - 2.0 * math.exp(-2.0 * r),
         m1=lambda h: (1.5 * _exp_moment(1.0, 2, h) - 2.0 * _exp_moment(2.0, 2, h)) / (h * h),
         m3=lambda h: 1.5 * _exp_moment(1.0, 4, h) - 2.0 * _exp_moment(2.0, 4, h),
-        exterior=lambda x, r, p: (
+        exterior=lambda x, r, p, L: (
+            1.5 * np.exp(x) * ((x + r) * (L / (x + r)) ** p) * exp_int(p, x + r)
+            - 2.0 * np.exp(2.0 * x) * ((x + r) * (L / (x + r)) ** p) * exp_int(p, 2.0 * (x + r))
+        ),
+        unnormalized=lambda x, r, p: (
             1.5 * np.exp(x) * (x + r) ** (1.0 - p) * exp_int(p, x + r)
             - 2.0 * np.exp(2.0 * x) * (x + r) ** (1.0 - p) * exp_int(p, 2.0 * (x + r))
         ),
@@ -394,10 +404,13 @@ def test_builtins_match_their_hand_written_formulas_bit_for_bit(name, laplace, m
         grid = build_grid(half_width, 100)
         centers = grid.spacing * np.arange(-50, 51)
         for p in (1.5, 2.0, 3.0):
+            moment = kernel.exterior_moment(centers, grid.weight_radius, p, half_width)
             np.testing.assert_array_equal(
-                kernel.exterior_moment(centers, grid.weight_radius, p),
-                oracle["exterior"](centers, grid.weight_radius, p),
+                moment, oracle["exterior"](centers, grid.weight_radius, p, half_width)
             )
+            # forming the ratio moves the L**p-times-moment form by rounding only
+            before = half_width ** p * oracle["unnormalized"](centers, grid.weight_radius, p)
+            np.testing.assert_allclose(moment, before, rtol=2e-15, atol=0.0)
 
 
 def test_builtins_derive_their_decay_and_sign_facts(laplace, mixed):

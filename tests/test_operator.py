@@ -289,10 +289,15 @@ z_entry = st.one_of(st.just(0.0), st.floats(-1.0, 0.0))
 )
 # a core so small that an unscaled Lanczos residual norm underflows to 0
 @example(head=5e-324, tail=[-8.943185842921145e-237])
+# a diagonal far below the off-diagonal entry: LAPACK's eigenvalues-only
+# tridiagonal QR (dsterf), behind np.linalg.eigvalsh, puts lambda_min =
+# head - 0.92578125 at -0.9257812611, 1.2e-8 too low, so the oracle is
+# eigh, whose eigenvector route gets it right
+@example(head=1.6378480193526998e-143, tail=[0.0, -0.92578125])
 def test_z_matrix_bracket_takes_the_collatz_wielandt_route(head, tail):
     # zeros among the off-diagonal entries make reducible and diagonal cores
     op = StructuredOperator(np.array([head] + tail))
-    spectrum = np.linalg.eigvalsh(op.dense())
+    spectrum = np.linalg.eigh(op.dense())[0]
     scale = max(float(np.abs(spectrum).max()), 1e-300)
     _, _, vector = op._lanczos(op.norm_inf())
     with counted_durbin_passes() as shifts:

@@ -6,6 +6,7 @@ package, so its own checks lean on analytically known integrals only.
 
 import importlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -133,11 +134,10 @@ def test_power_decay_certificate_refuses_non_finite_fields(degree, constant):
         PowerDecayCertificate(degree, constant)
 
 
-def test_non_convergence_carries_best_estimate():
+def test_non_convergence_carries_best_estimate(quadrature_budget):
+    quadrature_budget(sys.modules[__name__], rounds=2)
     with pytest.raises(QuadratureError) as info:
-        adaptive_quad(
-            lambda x: np.cos(1000.0 * x), 0.0, 300.0, 1e-14, max_rounds=2
-        )
+        adaptive_quad(lambda x: np.cos(1000.0 * x), 0.0, 300.0, 1e-14)
     best = info.value.result
     assert not best.converged
     assert best.abs_error_estimate > 1e-14
@@ -166,6 +166,8 @@ def _oscillatory_exact(a, t):
          _oscillatory_exact(40.0, 10.0), 5434),
         (lambda y: np.exp(-np.abs(y)), -1.0, 1.0, 1e-13, {"breakpoints": (0.0,)},
          2.0 * (1.0 - math.exp(-1.0)), 44),
+        # a log singularity: the per-panel share counts the frozen panels too
+        (lambda y: np.log(y), 0.0, 1.0, 1e-12, {}, -1.0, 1738),
     ],
 )
 def test_refinement_rules_pin_evaluation_counts(
@@ -213,6 +215,21 @@ def test_times_power_bounds_the_weighted_tail(degree, offset, rate, constant):
     y = np.linspace(0.0, 80.0 / rate, 40001)
     weighted = (offset + y) ** degree * constant * np.exp(-rate * y)
     assert np.all(weighted <= cert.constant * np.exp(-cert.rate * y))
+
+
+def test_times_power_forms_the_peak_in_logs():
+    # 2000 ** 100 leaves the floats and e^-100 is tiny; their product, the
+    # peak of y ** 100 e^(-0.05 y), does not
+    cert = DecayCertificate(0.1, 1.0).times_power(100)
+    assert cert.rate == 0.05
+    want = math.exp(100.0 * math.log(2000.0) - 100.0) * 1.0000001
+    assert cert.constant == pytest.approx(want, rel=1e-13)
+    assert cert.constant == pytest.approx(4.7157570e286, rel=1e-7)
+
+
+def test_times_power_refuses_a_constant_beyond_the_floats():
+    with pytest.raises(ValueError, match="degree 200"):
+        DecayCertificate(1e-3, 1.0).times_power(200)
 
 
 def test_times_power_degree_zero_is_identity():
@@ -359,12 +376,16 @@ def test_many_matches_one_at_a_time(intervals, rel, breakpoints):
     assert batch.converged
 
 
-def test_many_exhaustion_carries_every_best_estimate():
+def test_many_exhaustion_carries_every_best_estimate(quadrature_budget):
+    # every call below runs with three rounds, in which the smooth integrals
+    # converge and the oscillatory one does not
+    quadrature_budget(sys.modules[__name__], rounds=3)
+
     def f(y, owner):
         return np.where(owner == 1, np.cos(1000.0 * y), np.exp(-y))
 
     with pytest.raises(QuadratureError, match="on 1 of 3 integrals") as info:
-        adaptive_quad_many(f, [0.0, 0.0, 0.0], [1.0, 300.0, 2.0], 1e-14, max_rounds=3)
+        adaptive_quad_many(f, [0.0, 0.0, 0.0], [1.0, 300.0, 2.0], 1e-14)
     best = info.value.result
     assert not best.converged
     assert best.value.shape == best.abs_error_estimate.shape == (3,)
@@ -375,7 +396,7 @@ def test_many_exhaustion_carries_every_best_estimate():
         assert abs(alone - -math.expm1(-upper)) <= 1e-14
     assert best.abs_error_estimate[1] > 1e-14
     with pytest.raises(QuadratureError) as solo:
-        adaptive_quad(lambda y: np.cos(1000.0 * y), 0.0, 300.0, 1e-14, max_rounds=3)
+        adaptive_quad(lambda y: np.cos(1000.0 * y), 0.0, 300.0, 1e-14)
     assert abs(best.value[1] - solo.value.result.value) <= 1e-14
     assert best.evaluations == (
         adaptive_quad(lambda y: np.exp(-y), 0.0, 1.0, 1e-14).evaluations
@@ -384,13 +405,15 @@ def test_many_exhaustion_carries_every_best_estimate():
     )
 
 
-def test_many_panel_cap_is_per_integral():
+def test_many_panel_cap_is_per_integral(quadrature_budget):
     # integral 1 alone outgrows a cap of 8 panels; integral 0 never does
+    quadrature_budget(sys.modules[__name__], panels=8)
+
     def f(y, owner):
         return np.where(owner == 1, np.cos(1000.0 * y), np.exp(-y))
 
     with pytest.raises(QuadratureError, match="on 1 of 2 integrals") as info:
-        adaptive_quad_many(f, [0.0, 0.0], [1.0, 300.0], 1e-14, panel_cap=8)
+        adaptive_quad_many(f, [0.0, 0.0], [1.0, 300.0], 1e-14)
     alone = adaptive_quad(lambda y: np.exp(-y), 0.0, 1.0, 1e-14).value
     assert abs(info.value.result.value[0] - alone) <= 1e-15 * alone
 

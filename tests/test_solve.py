@@ -295,6 +295,22 @@ def test_far_whole_line_windows_solve_on_both_routes(half_width):
     np.testing.assert_allclose(values["bare"], values["laplace"], rtol=1e-9)
 
 
+def test_steep_decay_model_assembles_and_solves():
+    # q=400 at L=10: 10 ** 400 is beyond the floats, and the boundary terms
+    # must not form it
+    grid = build_grid(10.0, 200)
+    values = {}
+    for name, kernel in (*_KERNELS.items(), ("bare", _KERNELS["laplace"].without_closed_forms())):
+        problem = RealLineProblem(kernel=kernel, forcing=_gaussian, decay=DecayModel(400.0))
+        solution = solve(assemble(problem, grid))
+        values[name] = solution.values
+        assert np.all(np.isfinite(values[name]))
+        outside = evaluate_solution(solution, np.array([-15.0, 12.0]))
+        assert np.all(np.isfinite(outside))
+        assert np.all(np.abs(outside) <= np.abs(values[name]).max())
+    np.testing.assert_allclose(values["bare"], values["laplace"], rtol=1e-9)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     variant=st.sampled_from(["dirichlet", "realline", "neumann"]),
