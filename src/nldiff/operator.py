@@ -20,10 +20,11 @@ beyond MAX_DENSE_SIZE unknowns before allocating anything.
 
 The smallest eigenvalue of T, the Dirichlet stability certificate, comes
 as a bracket in O(n) memory (`core_eigenvalue_bracket`): Lanczos on the
-FFT matvec finds a Ritz value theta >= lambda_min and its Ritz vector v.
-The lower end is chosen by the signs of the column.  A core with every
-off-diagonal entry <= 0 (a Z-matrix, as a nonnegative kernel gives) and
-v > 0 takes the Collatz-Wielandt bound min_i (T v)_i / v_i, one more FFT
+FFT matvec finds a Ritz value theta and its Ritz vector v, and v's
+Rayleigh quotient from one more FFT matvec, rounded up by that matvec's
+rounding bound, is the upper end.  The lower end is chosen by the signs
+of the column.  A core with every off-diagonal entry <= 0 (a Z-matrix, as
+a nonnegative kernel gives) and v > 0 takes the Collatz-Wielandt bound min_i (T v)_i / v_i from the same
 matvec less its rounding bound, in O(n log n).  Any other core takes one
 Durbin recursion on T - sI (`core_is_definite`, O(n^2) time), which
 certifies lambda_min >= s just below theta; if Durbin rejects s, the same
@@ -55,6 +56,12 @@ _WEYL_WEIGHT = 1e-3
 _RITZ_TOL = 1e-13
 # c in the margin c n eps ||T|| that keeps Durbin's shift clear of rounding
 _DURBIN_ROUNDING = 4.0
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff."""
+    unit = 0.5 * _EPS
+    return k * unit / (1.0 - k * unit)
 
 
 def fast_length(size: int) -> int:
@@ -269,7 +276,8 @@ class StructuredOperator:
         return float(ritz[0]) / unit, residual / unit, vector
 
     def _matvec_rounding(self, vector_norm: float) -> float:
-        """A bound on every entry of fl(T x) - T x for ||x||_2 = vector_norm.
+        """A bound on ||fl(T x) - T x||_2, hence on every entry of it, for
+        ||x||_2 = vector_norm.
 
         Higham (Accuracy and Stability of Numerical Algorithms, 2nd ed.,
         Theorem 24.2) bounds a t-stage FFT by ||fl(F x) - F x||_2 <=
@@ -290,30 +298,45 @@ class StructuredOperator:
 
         and the factor 1 + 1e-10 covers the second-order terms.
         """
-        unit = 0.5 * _EPS
-
-        def gamma(k: int) -> float:
-            return k * unit / (1.0 - k * unit)
-
         stages = (self._padded - 1).bit_length()
-        eta = _EPS + gamma(4) * (math.sqrt(2.0) + _EPS)
+        eta = _EPS + _gamma(4) * (math.sqrt(2.0) + _EPS)
         kappa = stages * eta / (1.0 - stages * eta)
         magnitudes = np.abs(self.column)
         embedding_l1 = 2.0 * float(magnitudes.sum()) - float(magnitudes[0])
         symbol_max = float(np.abs(self._symbol).max())
-        first_order = (2.0 * kappa + math.sqrt(2.0) * gamma(2) + 2.0 * unit) * symbol_max
+        first_order = (2.0 * kappa + math.sqrt(2.0) * _gamma(2) + _EPS) * symbol_max
         first_order += kappa * embedding_l1
         return (1.0 + 1e-10) * first_order * vector_norm
+
+    def _rayleigh_ceiling(self, vector: np.ndarray, image: np.ndarray, margin: float) -> float:
+        """v^T T v / v^T v rounded up, an upper bound on lambda_min.
+
+        image is the computed T v and margin `_matvec_rounding(||v||_2)`, so
+        v^T T v <= v . image + ||v||_2 margin + gamma_n |v| . |image|, the
+        last term the rounding of the dot product (Higham, section 3.1); the
+        factor 1 + 1e-10 covers the rounding of these bounds themselves.
+        The computed v^T v (n terms), the sum, the quotient and the final
+        step each round, and gamma_{n+4} of the quotient covers them all.
+        Barring underflow, the result is never below the Rayleigh quotient.
+        """
+        n = self.size
+        slack = float(np.linalg.norm(vector)) * margin
+        slack += _gamma(n) * float(np.abs(vector) @ np.abs(image))
+        quotient = (float(vector @ image) + (1.0 + 1e-10) * slack) / float(vector @ vector)
+        return quotient + _gamma(n + 4) * abs(quotient)
 
     def core_eigenvalue_bracket(self) -> tuple[float, float]:
         """A certified bracket [lower, upper] around the smallest eigenvalue of T.
 
-        Lanczos gives the smallest Ritz value theta, a Rayleigh quotient, so
-        lambda_min <= theta.  The lower end takes one of two routes.
+        Lanczos gives the smallest Ritz value theta and its Ritz vector v.
+        theta is a Rayleigh quotient, but one computed in floating point can
+        sit a few eps ||T|| below lambda_min, so the upper end is v's Rayleigh
+        quotient from one FFT matvec, rounded up by the matvec's rounding
+        bound (`_rayleigh_ceiling`).  The lower end takes one of two routes.
 
         A Z-matrix core (every off-diagonal entry <= 0, as a nonnegative
-        kernel gives) whose Ritz vector v is strictly positive needs one
-        more FFT matvec: mu I - T is nonnegative for mu >= c_0, so the
+        kernel gives) whose Ritz vector v is strictly positive needs no
+        more than that matvec: mu I - T is nonnegative for mu >= c_0, so the
         Collatz-Wielandt bound gives lambda_min >= min_i (T v)_i / v_i for
         any v > 0 (Berman and Plemmons, Nonnegative Matrices in the
         Mathematical Sciences, SIAM 1994).  The computed (T v)_i less the
@@ -328,9 +351,10 @@ class StructuredOperator:
         eigenvector) or Lanczos stop unconverged, the same Durbin test
         bisects between the Gershgorin bound and theta; a shift it accepts
         there may lie within rounding of lambda_min, so the lower end drops
-        by the margin.  ||T|| is bounded by the largest row sum.  Takes O(n)
-        memory; refuses beyond MAX_DENSE_SIZE unknowns, since each Durbin
-        pass takes O(n^2) time.
+        by the margin, and the upper end, the lowest shift it rejected, rises
+        by it unless v's bound is lower.  ||T|| is bounded by the largest row
+        sum.  Takes O(n) memory; refuses beyond MAX_DENSE_SIZE unknowns, since
+        each Durbin pass takes O(n^2) time.
         """
         n = self.size
         if n > MAX_DENSE_SIZE:
@@ -343,20 +367,22 @@ class StructuredOperator:
         # the largest row sum is ||T||_inf >= ||T||_2
         scale = float(row_sums.max())
         theta, residual, vector = self._lanczos(scale)
+        image = self.core_matvec(vector)
+        margin = self._matvec_rounding(float(np.linalg.norm(vector)))
+        ceiling = self._rayleigh_ceiling(vector, image, margin)
         rounding = _DURBIN_ROUNDING * n * _EPS * scale
         # Gershgorin: no eigenvalue lies below c_0 minus an off-diagonal row sum
         lower = float(self.column[0] - (row_sums - mag[0]).max())
         if np.all(self.column[1:] <= 0.0) and np.all(vector > 0.0):
-            margin = self._matvec_rounding(float(np.linalg.norm(vector)))
-            bound = float(((self.core_matvec(vector) - margin) / vector).min())
+            bound = float(((image - margin) / vector).min())
             # the subtraction and the division each round by at most u
             bound -= 2.0 * _EPS * abs(bound)
-            return max(bound, lower - rounding), theta
+            return max(bound, lower - rounding), ceiling
         upper = theta
         shift = theta - residual - rounding
         if lower < shift and self.core_is_definite(shift):
             if residual <= _RITZ_TOL * scale:
-                return shift, theta
+                return shift, ceiling
             lower = shift
         width = _RITZ_TOL * scale + rounding
         while upper - lower > width:
@@ -367,7 +393,9 @@ class StructuredOperator:
                 lower = shift
             else:
                 upper = shift
-        return lower - rounding, upper
+        # a shift Durbin rejects may lie within rounding below lambda_min, as
+        # one it accepts may lie above it
+        return lower - rounding, min(upper + rounding, ceiling)
 
     def dense(self) -> np.ndarray:
         """The n x n matrix, for oracles only; refuses beyond MAX_DENSE_SIZE."""

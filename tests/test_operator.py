@@ -4,7 +4,8 @@ Every fast member (FFT matvec, O(n) norm, circulant samples, the
 eigenvalue bracket on both of its routes, Collatz-Wielandt and Durbin) is
 checked against the dense matrix it stands for, on random columns with and
 without an edge column, odd and even sizes; dense eigvalsh is the
-eigenvalue oracle, and exact dot products check the matvec's rounding
+eigenvalue oracle, mpmath at 50 digits checks that the bracket holds
+lambda_min at both ends, and exact dot products check the matvec's rounding
 bound.
 """
 
@@ -12,6 +13,7 @@ import contextlib
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -312,6 +314,45 @@ def test_z_matrix_bracket_takes_the_collatz_wielandt_route(head, tail):
         # every entry of mu I - T off the diagonal is at least 0.05, so the
         # lowest eigenvector, its Perron vector, is well clear of 0
         assert np.all(vector > 0.0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        # a Z-matrix whose Ritz value theta = -4.02476475500179 sits 2e-15
+        # below lambda_min = -4.0247647550017877, so theta is no upper end
+        pytest.param(
+            lambda: np.array(
+                [1.0, -0.375, 0.0, -1.0, 0.0, 0.0, 0.0, -1.0]
+                + [0.0, -0.9375, 0.0, -0.75, 0.0, 0.0, -1.0, 0.0]
+            ),
+            id="z-16-pinned",
+        ),
+        # columns whose Ritz vector's Rayleigh quotient, from the FFT matvec
+        # with no rounding allowance, reads 3.3e-16 and 7.9e-17 below
+        # lambda_min
+        pytest.param(lambda: np.array([1.0, 0.0, 0.0, 0.0, -1.0, -0.9375]), id="z-6-pinned"),
+        pytest.param(lambda: np.array([0.25, 0.375, 1.3125, 0.0, 1.0625]), id="mixed-5-pinned"),
+        pytest.param(lambda: singular_core(24).column, id="singular-24"),
+    ]
+    + [
+        pytest.param(lambda seed=seed: random_z_column(24, seed), id="z-24-%d" % seed)
+        for seed in (1, 2, 3)
+    ]
+    + [
+        pytest.param(
+            lambda seed=seed: random_operator(24, 0, seed).column, id="random-24-%d" % seed
+        )
+        for seed in (1, 2, 3)
+    ],
+)
+def test_bracket_holds_the_fifty_digit_eigenvalue(build):
+    op = StructuredOperator(build())
+    with mpmath.workdps(50):
+        spectrum = mpmath.eigsy(mpmath.matrix(op.dense().tolist()), eigvals_only=True)
+        low = min(spectrum)
+        lower, upper = op.core_eigenvalue_bracket()
+        assert mpmath.mpf(lower) <= low <= mpmath.mpf(upper)
 
 
 @pytest.mark.parametrize("size", [3, 9, 64])
