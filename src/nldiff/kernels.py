@@ -7,8 +7,10 @@ F(y) = integral over s in [y, inf) of (s - y) nu(s) ds for y >= 0.
 
 A kernel that is a sum of terms c exp(-a |y|) carries its (c, a) pairs as
 `Kernel.terms`, and every closed form derives from them here: F', F, the
-tail mass, the truncation moments and the whole-line exterior moment.  A
-kernel without terms takes the quadrature route for all of them.
+tail mass, the truncation moments, the whole-line exterior moment, the
+versine transform of the stability symbol and the geometric generator of
+the hat weights.  A kernel without terms takes the quadrature route for all
+of them.
 `build_kernel` checks a declared decay rate and constant against
 |nu(y)| exp(rate y) out to the truncation points the certificates use.
 """
@@ -120,6 +122,39 @@ class Kernel:
             with np.errstate(over="ignore", invalid="ignore"):
                 total = total + np.where(tail == 0.0, 0.0, c * np.exp(a * x) * weight * tail)
         return total
+
+    def versine_transform(self, radius: float, modes: int) -> np.ndarray:
+        """int_0^radius nu(x) (1 - cos(j pi x / radius)) dx for j = 0..modes.
+
+        The closed form of `quadrature.versine_transform`, in O(modes p).
+        With b = j pi / radius, E = e^(-a radius) and cos(b radius) = (-1)^j,
+        each term gives c [b^2 (1 - E) - 2 a^2 E [j odd]] / (a (a^2 + b^2)),
+        which subtracts nothing of like size; entry 0 is exactly 0.
+        """
+        self._closed()
+        j = np.arange(modes + 1)
+        squared = ((math.pi / radius) * j) ** 2
+        odd = j % 2
+        total = 0.0
+        for c, a in self.terms:
+            rest = math.exp(-a * radius)
+            numerator = squared * -math.expm1(-a * radius) - (2.0 * a * a * rest) * odd
+            total = total + c * numerator / (a * (a * a + squared))
+        return total
+
+    def hat_weight_terms(self, spacing: float) -> tuple[tuple[float, float], ...]:
+        """The (g, rho) pairs with hat weight w_k = sum of g rho^k for 2 <= k < M.
+
+        A whole hat's weight is the second difference of F over the nodes,
+        and each term c/a^2 e^(-a |y|) of F gives g = 4 c sinh^2(a h / 2) /
+        (a^2 h) and rho = e^(-a h) on spacing h.
+        """
+        self._closed()
+        h = spacing
+        return tuple(
+            (4.0 * c * math.sinh(0.5 * a * h) ** 2 / (a * a * h), math.exp(-a * h))
+            for c, a in self.terms
+        )
 
 
 def _route_kernel(kernel: Kernel, method: str) -> Kernel:

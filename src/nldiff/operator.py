@@ -24,26 +24,33 @@ FFT matvec finds a Ritz value theta and its Ritz vector v, and v's
 Rayleigh quotient from one more FFT matvec, rounded up by that matvec's
 rounding bound, is the upper end.  The lower end is chosen by the signs
 of the column.  A core with every off-diagonal entry <= 0 (a Z-matrix, as
-a nonnegative kernel gives) and v > 0 takes the Collatz-Wielandt bound min_i (T v)_i / v_i from the same
-matvec less its rounding bound, in O(n log n).  Any other core takes one
-Durbin recursion on T - sI (`core_is_definite`, O(n^2) time), which
-certifies lambda_min >= s just below theta; if Durbin rejects s, the same
-test bisects.  The certificate keeps the MAX_DENSE_SIZE limit, for the
-O(n^2) time of its Durbin route.
+a nonnegative kernel gives) and v > 0 takes the Collatz-Wielandt bound
+min_i (T v)_i / v_i from the same matvec less its rounding bound, in
+O(n log n).  Any other core takes one definiteness test of T - sI, which
+certifies lambda_min >= s just below theta; if the test rejects s, it
+bisects.  Given a generator, (coefficient, ratio) pairs whose geometric
+sums make every lag >= 2 (an exponential-sum kernel's hat weights), the
+test is a Levinson recursion with two running sums per pair
+(`_levinson_is_definite`, O(n p) time) on the generated core T-hat, shifted
+further by a rounded-up ||T - T-hat||_inf, so by Weyl's inequality it
+still certifies T.  Without one it is Durbin's recursion on T
+(`core_is_definite`, O(n^2) time), and only that route is refused beyond
+MAX_DENSE_SIZE unknowns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 __all__ = ["MAX_DENSE_SIZE", "StructuredOperator", "fast_length", "convolve"]
 
 # 8192^2 float64 entries are 512 MiB; beyond that a dense oracle is a
-# mistake, not a check.  The stability certificate, whose Durbin route takes
-# O(n^2) time in O(n) memory, keeps the same limit.
+# mistake, not a check.  The stability certificate's Durbin route, O(n^2)
+# time in O(n) memory, keeps the same limit.
 MAX_DENSE_SIZE = 8192
 
 _EPS = float(np.finfo(float).eps)
@@ -95,6 +102,59 @@ def _core_row_sums(mag: np.ndarray) -> np.ndarray:
     rows = np.arange(n)
     # row i holds c_{|i - j|}: c_0 once, then c_1.. on both sides
     return prefix[rows] + prefix[n - 1 - rows] - mag[0]
+
+
+def _levinson_is_definite(
+    hat: np.ndarray, geometric: Sequence[tuple[float, float]], shift: float
+) -> bool:
+    """Whether the symmetric Toeplitz matrix with first column hat, less
+    shift I, is positive definite, for hat_k = sum of coefficient ratio^k at
+    every lag k >= 2.
+
+    Durbin's recursion (`StructuredOperator.core_is_definite`) with its dot
+    product in O(p): at step k it is sum_i r_{k-i} y_i, i < k, with r =
+    hat[1:] / t_0 and t_0 = hat_0 - shift.  Every lag but the last one
+    (i = k - 1, lag 1, where r_1 adds a correction delta to its geometric
+    part) is geometric, so the dot product is sum_t G_t S_t + delta y_{k-1},
+    G_t = coefficient_t / t_0 and S_t = sum_i ratio_t^(k-i) y_i, and y_{k-1}
+    is the previous reflection coefficient.  With R_t = sum_i ratio_t^(i+1)
+    y_i beside it, the update y + alpha J y maps (S, R) to (S + alpha R,
+    R + alpha S), and appending alpha to y gives S <- ratio (S + alpha) and
+    R <- R + ratio^(k+1) alpha.  Same reflection coefficients in exact
+    arithmetic, in O(n p) time and O(p) memory beside the column (Cybenko,
+    SIAM J. Sci. Stat. Comput. 1, 1980; Gohberg, Kailath and Koltracht,
+    Integral Equations Operator Theory 8, 1985).
+    """
+    head = float(hat[0]) - shift
+    if not head > 0.0:
+        return False
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r = (hat[1:] / head).tolist()
+    ratios = [float(ratio) for _, ratio in geometric]
+    weights = [coefficient / head for coefficient, _ in geometric]
+    delta = r[0] - sum(weight * ratio for weight, ratio in zip(weights, ratios))
+    terms = range(len(ratios))
+    sums = [0.0] * len(ratios)
+    mirrored = [0.0] * len(ratios)
+    powers = [1.0] * len(ratios)
+    alpha = 0.0
+    beta = 1.0
+    for lag in r:
+        if not abs(alpha) < 1.0:
+            return False
+        beta *= 1.0 - alpha * alpha
+        if beta == 0.0:
+            return False
+        dot = delta * alpha
+        for t in terms:
+            dot += weights[t] * sums[t]
+        alpha = -(lag + dot) / beta
+        for t in terms:
+            ratio, s, m = ratios[t], sums[t], mirrored[t]
+            powers[t] *= ratio
+            sums[t] = ratio * (s + alpha * (m + 1.0))
+            mirrored[t] = m + alpha * (s + powers[t])
+    return abs(alpha) < 1.0
 
 
 def convolve(kernel: np.ndarray, data: np.ndarray) -> np.ndarray:
@@ -188,6 +248,34 @@ class StructuredOperator:
         # lags -1 .. -(n-1) wrap to m-1 .. m-n+1
         folded[m - n + 1 :] += tapered[:0:-1]
         return np.fft.rfft(folded).real
+
+    def _refuse_large_durbin(self, reason: str) -> None:
+        n = self.size
+        if n > MAX_DENSE_SIZE:
+            raise ValueError(
+                "refusing to certify a %d-unknown core: %s, so its certificate takes "
+                "Durbin's O(n^2) recursion (limit %d unknowns)" % (n, reason, MAX_DENSE_SIZE)
+            )
+
+    def _geometric_core(
+        self, geometric: Sequence[tuple[float, float]]
+    ) -> tuple[np.ndarray, float]:
+        """T-hat's first column and ||T - T-hat||_inf rounded up, in O(n p).
+
+        T-hat keeps T's c_0 and c_1 and takes sum of coefficient ratio^k at
+        every lag k >= 2, each power the running product that
+        `_levinson_is_definite` forms.  The difference is zero at lags 0 and
+        1, and the factor 1 + gamma_{n+4} covers the rounding of its
+        magnitudes, their prefix sums and the product.
+        """
+        n = self.size
+        hat = self.column.copy()
+        if n > 2:
+            hat[2:] = 0.0
+            for coefficient, ratio in geometric:
+                hat[2:] += coefficient * np.cumprod(np.full(n - 1, ratio))[1:]
+        sums = _core_row_sums(np.abs(self.column - hat))
+        return hat, float(sums.max()) * (1.0 + _gamma(n + 4))
 
     def _refuse_large_dense(self) -> None:
         n = self.size
@@ -325,7 +413,9 @@ class StructuredOperator:
         quotient = (float(vector @ image) + (1.0 + 1e-10) * slack) / float(vector @ vector)
         return quotient + _gamma(n + 4) * abs(quotient)
 
-    def core_eigenvalue_bracket(self) -> tuple[float, float]:
+    def core_eigenvalue_bracket(
+        self, geometric: Sequence[tuple[float, float]] | None = None
+    ) -> tuple[float, float]:
         """A certified bracket [lower, upper] around the smallest eigenvalue of T.
 
         Lanczos gives the smallest Ritz value theta and its Ritz vector v.
@@ -345,23 +435,35 @@ class StructuredOperator:
         below, is the lower end.
 
         Every other core, sign-changing or with a Ritz vector that changes
-        sign, takes one Durbin pass at s = theta - delta, delta the Ritz
-        residual plus the rounding margin c n eps ||T||, which certifies
-        lambda_min >= s.  Should it reject s (Lanczos missed the lowest
-        eigenvector) or Lanczos stop unconverged, the same Durbin test
+        sign, takes one definiteness test at s = theta - delta, delta the
+        Ritz residual plus the rounding margin c n eps ||T||, which
+        certifies lambda_min >= s.  Should it reject s (Lanczos missed the
+        lowest eigenvector) or Lanczos stop unconverged, the same test
         bisects between the Gershgorin bound and theta; a shift it accepts
         there may lie within rounding of lambda_min, so the lower end drops
         by the margin, and the upper end, the lowest shift it rejected, rises
         by it unless v's bound is lower.  ||T|| is bounded by the largest row
-        sum.  Takes O(n) memory; refuses beyond MAX_DENSE_SIZE unknowns, since
-        each Durbin pass takes O(n^2) time.
+        sum.
+
+        With ``geometric``, (coefficient, ratio) pairs with c_k close to the
+        sum of coefficient ratio^k at every lag k >= 2, the test is the
+        O(n p) Levinson recursion on T-hat - (s + drift) I, T-hat the core
+        they generate beside T's c_0 and c_1 and drift a rounded-up
+        ||T - T-hat||_inf >= ||T - T-hat||_2.  Weyl's inequality puts
+        lambda_min(T) within the drift of lambda_min(T-hat), so an accepted
+        s still certifies T; the first shift drops by twice the drift, and a
+        rejected one bounds lambda_min(T) from above only with twice the
+        drift added.  Without ``geometric`` the test is one Durbin pass on
+        T - sI, O(n^2) time.  Takes O(n) memory.  Beyond MAX_DENSE_SIZE
+        unknowns only the Durbin route is refused: before anything is
+        allocated when the core is not a Z-matrix, and before the first
+        pass when the Ritz vector of a Z-matrix core is not positive.
         """
         n = self.size
-        if n > MAX_DENSE_SIZE:
-            raise ValueError(
-                "refusing to certify a %d-unknown core: the Durbin stability certificate "
-                "takes O(n^2) time (limit %d unknowns)" % (n, MAX_DENSE_SIZE)
-            )
+        # O(n) and allocation free: a view's max
+        z_core = bool(self.column[1:].max() <= 0.0)
+        if geometric is None and not z_core:
+            self._refuse_large_durbin("it has no generator and is not a Z-matrix")
         mag = np.abs(self.column)
         row_sums = _core_row_sums(mag)
         # the largest row sum is ||T||_inf >= ||T||_2
@@ -373,14 +475,26 @@ class StructuredOperator:
         rounding = _DURBIN_ROUNDING * n * _EPS * scale
         # Gershgorin: no eigenvalue lies below c_0 minus an off-diagonal row sum
         lower = float(self.column[0] - (row_sums - mag[0]).max())
-        if np.all(self.column[1:] <= 0.0) and np.all(vector > 0.0):
+        if z_core and np.all(vector > 0.0):
             bound = float(((image - margin) / vector).min())
             # the subtraction and the division each round by at most u
             bound -= 2.0 * _EPS * abs(bound)
             return max(bound, lower - rounding), ceiling
+        if geometric is None:
+            self._refuse_large_durbin("its Ritz vector is not positive")
+            definite = self.core_is_definite
+            drift = 0.0
+        else:
+            hat, drift = self._geometric_core(geometric)
+
+            def definite(shift: float) -> bool:
+                return _levinson_is_definite(hat, geometric, shift + drift)
+
         upper = theta
-        shift = theta - residual - rounding
-        if lower < shift and self.core_is_definite(shift):
+        # lambda_min(T-hat) may sit the drift below lambda_min(T), and the
+        # test asks about the shift plus the drift
+        shift = theta - residual - rounding - 2.0 * drift
+        if lower < shift and definite(shift):
             if residual <= _RITZ_TOL * scale:
                 return shift, ceiling
             lower = shift
@@ -389,13 +503,14 @@ class StructuredOperator:
             shift = 0.5 * (lower + upper)
             if not lower < shift < upper:
                 break
-            if self.core_is_definite(shift):
+            if definite(shift):
                 lower = shift
             else:
                 upper = shift
-        # a shift Durbin rejects may lie within rounding below lambda_min, as
-        # one it accepts may lie above it
-        return lower - rounding, min(upper + rounding, ceiling)
+        # a shift the test rejects may lie within rounding below lambda_min,
+        # as one it accepts may lie above it; a rejection on T-hat puts
+        # lambda_min(T) below the shift plus twice the drift
+        return lower - rounding, min(upper + rounding + 2.0 * drift, ceiling)
 
     def dense(self) -> np.ndarray:
         """The n x n matrix, for oracles only; refuses beyond MAX_DENSE_SIZE."""

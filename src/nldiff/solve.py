@@ -33,35 +33,39 @@ The stability report samples the operator symbol on the cosine modes of the
 weight support, j = 0..M with R = M h the weight support radius:
 
     symbol_j = tail_mass + integral over |x| <= R of (1 - cos(j pi x / R)) nu(x) dx
-             = tail_mass + 2 (S - C_j),
+             = tail_mass + 2 V_j,
 
-S the integral of nu over [0, R] and C_j its cosine transform there.  The
-whole table comes from one pass (`quadrature.versine_transform`): nu is
-evaluated once at the 15 Gauss nodes of equal panels with edges on the
-hat grid, so the kink of nu at 0 sits on an edge, and one batched FFT over
-the 15 Gauss nodes gives C_j for every j.  The panel count doubles until
-two resolutions agree to _SYMBOL_TOL = 1e-10 in every sample; their worst
-gap is reported as `symbol_error_estimate`.  The subtraction S - C_j loses
-about eps * ||nu||_1 in absolute terms, far inside that tolerance.  The tail mass, which
-can sit far below that rounding level, is added apart and never cancels:
-symbol_0 is the tail mass exactly.
+V_j the versine transform of nu over [0, R].  A kernel with terms takes V_j
+closed (`Kernel.versine_transform`, O(M p)), and the reported
+`symbol_error_estimate` is a rounding bound.  Any other kernel takes one
+quadrature pass (`quadrature.versine_transform`): nu is evaluated once at
+the 15 Gauss nodes of equal panels with edges on the hat grid, so the kink
+of nu at 0 sits on an edge, and one batched FFT over the 15 Gauss nodes
+gives every V_j.  The panel count doubles until two resolutions agree to
+_SYMBOL_TOL = 1e-10 in every sample; their worst gap is the estimate.
+Either way the tail mass, which can sit far below the rounding level of
+V_j, is added apart and never cancels: symbol_0 is the tail mass exactly.
 
-Known limitation: a kernel with a kink between panel edges can fool the
-two-resolution estimate, as it fooled the per-mode adaptive quadrature
-before it.  For nu = e^-|y| / 2 + 0.2 max(0, a - |y|) e^-|y| at L = 10,
-M = 256 and a = 0.3, both passed tol = 1e-10 with actual worst errors of
-1.6e-10 (this table, estimate 4.0e-11) and 4.2e-9 (one adaptive quadrature
-per mode); at a = 0.351414 they were 5.8e-12 and 6.0e-9.
+Known limitation of the quadrature table: a kernel with a kink between
+panel edges can fool the two-resolution estimate, as it fooled the
+per-mode adaptive quadrature before it.  For nu = e^-|y| / 2 + 0.2 max(0,
+a - |y|) e^-|y| at L = 10, M = 256 and a = 0.3, both passed tol = 1e-10
+with actual worst errors of 1.6e-10 (this table, estimate 4.0e-11) and
+4.2e-9 (one adaptive quadrature per mode); at a = 0.351414 they were
+5.8e-12 and 6.0e-9.
 
 The Dirichlet certificate brackets the smallest eigenvalue of the symmetric
 core (`StructuredOperator.core_eigenvalue_bracket`) in O(n) memory: the
-Ritz vector's Rayleigh quotient on the FFT matvec, rounded up, from above;
-from below, for a
-nonnegative kernel (a Z-matrix core), the Collatz-Wielandt bound of the
-positive Ritz vector from that same matvec, and for a sign-changing
-kernel one Durbin pass on the shifted core.  The grid is stable when the
-lower end is positive.  The whole-line and flux-closure certificate is the
-O(n) norm ||I - N||_inf.
+Ritz vector's Rayleigh quotient on the FFT matvec, rounded up, from above.
+From below, a nonnegative kernel (a Z-matrix core) takes the
+Collatz-Wielandt bound of the positive Ritz vector from that same matvec.
+A sign-changing kernel with terms takes an O(n p) Levinson test on the
+core its hat weight generator gives (`Kernel.hat_weight_terms`, from the
+terms and the grid spacing, never from assembly), less the measured
+distance to the assembled core; a kernel without terms takes one Durbin
+pass, O(n^2), refused beyond MAX_DENSE_SIZE unknowns.  The grid is stable
+when the lower end is positive.  The whole-line and flux-closure
+certificate is the O(n) norm ||I - N||_inf.
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ import numpy as np
 from .assembly import DiscreteSystem
 from .grids import Grid
 from .kernels import Kernel, tail_mass
-from .operator import StructuredOperator, fast_length
+from .operator import StructuredOperator, _gamma, fast_length
 from .quadrature import versine_transform
 
 __all__ = [
@@ -191,40 +195,52 @@ def _preconditioned_cg(
     positive is a breakdown: T is not positive definite, and SolveError is
     raised.  Non-finite data ends the run early; the residual check in
     `solve` then refuses the result.
+
+    CG commutes with scaling, and a power of two scales exactly, so each
+    row runs with its largest entry in [1/2, 1) and its iterates are the
+    unscaled ones times that power: no squared norm underflows, as one of
+    a right-hand side below 1e-154 did.
     """
     precondition = _sine_preconditioner(operator, eigenvalues)
-    solution = np.zeros_like(rhs)
-    squared = np.einsum("ij,ij->i", rhs, rhs)
+    exponents = np.frexp(np.abs(rhs).max(axis=1))[1]
+    scale = np.ldexp(1.0, np.clip(-exponents, -1000, 1000))
+    solution = rhs * scale[:, None]
+    squared = np.einsum("ij,ij->i", solution, solution)
     goal = _CG_RTOL * _CG_RTOL * squared
     rows = np.flatnonzero(squared > goal)
     goal, squared = goal[rows], squared[rows]
-    residual = rhs[rows]
+    residual = solution[rows]
+    solution[:] = 0.0
     values = np.zeros_like(residual)
+
+    def worst() -> float:
+        # the largest residual norm in the rows' own units
+        return float((np.sqrt(squared) / scale[rows]).max())
+
     direction = precondition(residual)
     rz = np.einsum("ij,ij->i", residual, direction)
     iterations = 0
     while rows.size:
         if iterations == _CG_MAX_ITERATIONS:
-            worst = math.sqrt(float(squared.max()))
             raise SolveError(
                 "conjugate gradients did not converge in %d iterations; residual %.3e"
-                % (iterations, worst),
+                % (iterations, worst()),
                 condition_estimate=_circulant_condition(eigenvalues),
                 iterations=iterations,
-                residual=worst,
+                residual=worst(),
             )
         iterations += 1
         image = operator.core_matvec(direction)
         curvature = np.einsum("ij,ij->i", direction, image)
         if not np.all(curvature > 0.0):
-            worst = math.sqrt(float(squared.max()))
+            lowest = float((curvature / scale[rows] / scale[rows]).min())
             raise SolveError(
                 "conjugate gradients broke down at iteration %d (curvature %.3e, "
                 "residual %.3e): the Toeplitz core is not positive definite"
-                % (iterations, float(curvature.min()), worst),
+                % (iterations, lowest, worst()),
                 condition_estimate=math.inf,
                 iterations=iterations,
-                residual=worst,
+                residual=worst(),
             )
         step = (rz / curvature)[:, None]
         values += step * direction
@@ -239,6 +255,9 @@ def _preconditioned_cg(
         rz_next = np.einsum("ij,ij->i", residual, preconditioned)
         direction = preconditioned + (rz_next / rz)[:, None] * direction
         rz = rz_next
+        # the next matvec is the peak of the solve's memory
+        del preconditioned, image
+    solution /= scale[:, None]
     return solution, iterations
 
 
@@ -393,10 +412,23 @@ class StabilityReport:
 
 
 def _symbol_samples(kernel: Kernel, grid: Grid) -> tuple[np.ndarray, float]:
+    """symbol_j = tail mass + 2 versine_j, and a bound on each sample's error.
+
+    A kernel with terms takes the closed table, whose error is rounding: a
+    term's versine is at most 3 |c| / a, takes some eight roundings, and
+    moves by at most 4 |c| / a times the relative error gamma_3 of its
+    frequency j pi / R; summing p terms, doubling and adding the tail mass
+    round once more each.  Any other kernel takes the quadrature table and
+    its two-resolution gap.
+    """
     radius = grid.weight_radius
-    table = versine_transform(kernel.evaluate, radius, grid.steps, _SYMBOL_TOL / 2.0)
-    symbol = tail_mass(kernel, radius) + 2.0 * table.value
-    return symbol, 2.0 * table.abs_error_estimate
+    mass = tail_mass(kernel, radius)
+    if kernel.terms is None:
+        table = versine_transform(kernel.evaluate, radius, grid.steps, _SYMBOL_TOL / 2.0)
+        return mass + 2.0 * table.value, 2.0 * table.abs_error_estimate
+    size = sum(abs(c) / a for c, a in kernel.terms)
+    error = _gamma(len(kernel.terms) + 16) * (abs(mass) + 20.0 * size)
+    return mass + 2.0 * kernel.versine_transform(radius, grid.steps), error
 
 
 def stability_report(system: DiscreteSystem) -> StabilityReport:
@@ -406,20 +438,25 @@ def stability_report(system: DiscreteSystem) -> StabilityReport:
     the smallest eigenvalue, stable when its certified lower end is
     positive; real line systems lose symmetry through the boundary columns
     and certify through ||I - N||_inf < 1 instead.  _SYMBOL_TOL bounds the
-    estimated absolute error of each symbol sample; a table that does not
-    reach it raises QuadratureError.
+    estimated absolute error of each quadrature symbol sample; a table that
+    does not reach it raises QuadratureError.
     """
     kernel = system.kernel
     grid = system.grid
     operator = system.operator
 
-    # the certificate comes first: the size guard of a Dirichlet system
-    # that is too large then fails before any symbol work
+    # the certificate comes first: a Dirichlet core that would need Durbin
+    # beyond the size limit is then refused before any symbol work
     min_eig: float | None = None
     min_eig_lower: float | None = None
     contraction: float | None = None
     if system.variant == "dirichlet":
-        min_eig_lower, min_eig = operator.core_eigenvalue_bracket()
+        # the generator comes from the kernel's terms, not from assembly, and
+        # the bracket measures how far the assembled core lies from it
+        geometric = None
+        if kernel.terms is not None:
+            geometric = [(-g, rho) for g, rho in kernel.hat_weight_terms(grid.spacing)]
+        min_eig_lower, min_eig = operator.core_eigenvalue_bracket(geometric)
         stable = min_eig_lower > 0.0
     else:
         # I - N = (I - T) + B E^T, again Toeplitz plus boundary columns

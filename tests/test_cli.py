@@ -1,5 +1,6 @@
 """Command line front end, driven through main(argv)."""
 
+import dataclasses
 import importlib
 import math
 
@@ -197,13 +198,19 @@ class TestStability:
         assert 0.0 < float(kv["contraction_norm"]) < 1.0
 
     def test_dense_certificate_too_large_is_a_clean_error(self, capsys):
-        # the smallest-eigenvalue certificate takes O(n^2) time; it is
-        # refused before the symbol quadratures
+        # beyond the dense limit the Z-matrix core still takes its
+        # Collatz-Wielandt bound and the closed symbol table, with no
+        # O(n^2) step, so the report is certified rather than refused
         assert (
             main(["stability", "--problem", "dirichlet-sech", "--L", "10", "--M", "100000"])
-            == 2
+            == 0
         )
-        assert "refusing to certify" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        kv = parse_kv(captured.out)
+        assert kv["stable"] == "true"
+        assert 0.0 < float(kv["min_eigenvalue_lower"]) <= float(kv["min_eigenvalue"])
+        assert 0.0 <= float(kv["symbol_error"]) <= 1e-10
 
     def test_neumann_variant_label(self, capsys):
         assert (
@@ -272,7 +279,17 @@ class TestFailureExitCodes:
         assert "did not reach" in err and "of 2 integrals" in err and "best estimate" in err
 
     def test_symbol_table_exhaustion(self, capsys, monkeypatch):
-        # a cap at the first table leaves no second resolution to compare
+        # every registry kernel takes the closed symbol table, so the system
+        # reaches the report with its kernel stripped of the closed forms; a
+        # cap at the first table leaves no second resolution to compare
+        cli = importlib.import_module("nldiff.cli")
+        assemble = cli.assemble
+
+        def stripped(problem, grid):
+            system = assemble(problem, grid)
+            return dataclasses.replace(system, kernel=system.kernel.without_closed_forms())
+
+        monkeypatch.setattr(cli, "assemble", stripped)
         monkeypatch.setattr(importlib.import_module("nldiff.quadrature"), "_VERSINE_PANEL_CAP", 64)
         code = main(["stability", "--problem", "realline-algebraic", "--L", "5", "--M", "64"])
         assert code == 3

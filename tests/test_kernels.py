@@ -451,3 +451,18 @@ def test_a_three_term_sum_matches_the_quadrature_route():
                 closed, _ = realline_boundary_terms(summed, grid, decay, method="closed")
                 quad, _ = realline_boundary_terms(summed, grid, decay, method="quadrature")
                 np.testing.assert_allclose(closed, quad, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("name", ["laplace", "mixed"])
+@pytest.mark.parametrize("half_width, steps", [(5.0, 64), (10.0, 800)])
+def test_hat_weight_terms_generate_the_interior_weights(name, half_width, steps, laplace, mixed):
+    # w_k = sum of g rho^k for 2 <= k < M, to the rounding of the second
+    # differences of F that the assembled weights are
+    kernel = {"laplace": laplace, "mixed": mixed}[name]
+    grid = build_grid(half_width, steps)
+    weights = compute_weights(kernel, grid).weights[steps + 2 : 2 * steps]
+    k = np.arange(2, steps)
+    generated = sum(g * rho ** k for g, rho in kernel.hat_weight_terms(grid.spacing))
+    f_scale = sum(abs(c) / (a * a) for c, a in kernel.terms)
+    eps = np.finfo(float).eps
+    assert np.abs(generated - weights).max() <= 16.0 * eps * f_scale / grid.spacing

@@ -1,15 +1,17 @@
 """The structured operator against its own dense materialisation.
 
 Every fast member (FFT matvec, O(n) norm, circulant samples, the
-eigenvalue bracket on both of its routes, Collatz-Wielandt and Durbin) is
-checked against the dense matrix it stands for, on random columns with and
-without an edge column, odd and even sizes; dense eigvalsh is the
-eigenvalue oracle, mpmath at 50 digits checks that the bracket holds
-lambda_min at both ends, and exact dot products check the matvec's rounding
-bound.
+eigenvalue bracket on each of its routes, Collatz-Wielandt, Durbin and the
+O(n p) Levinson test of an exponential-sum core) is checked against the
+dense matrix it stands for, on random columns with and without an edge
+column, odd and even sizes; dense eigvalsh is the eigenvalue oracle,
+Durbin the oracle of the Levinson test, mpmath at 50 digits checks that
+the bracket holds lambda_min at both ends, and exact dot products check the
+matvec's rounding bound.
 """
 
 import contextlib
+import importlib
 import math
 import tracemalloc
 
@@ -22,7 +24,13 @@ from hypothesis import strategies as st
 from nldiff.assembly import assemble
 from nldiff.grids import build_grid
 from nldiff.harness import registry
-from nldiff.operator import MAX_DENSE_SIZE, StructuredOperator, convolve, fast_length
+from nldiff.operator import (
+    MAX_DENSE_SIZE,
+    StructuredOperator,
+    _levinson_is_definite,
+    convolve,
+    fast_length,
+)
 
 
 def random_operator(size, rank, seed):
@@ -486,3 +494,139 @@ def test_dense_refuses_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def registry_generator(problem_id, steps, half_width=10.0):
+    """A registry Dirichlet core and its (coefficient, ratio) pairs from the
+    kernel's terms, as the stability report builds them."""
+    case = registry()[problem_id].build(half_width)
+    system = assemble(case.problem, build_grid(half_width, steps))
+    pairs = system.kernel.hat_weight_terms(system.grid.spacing)
+    return system.operator, [(-g, rho) for g, rho in pairs]
+
+
+def exponential_sum_core(head, lag1, pairs, size):
+    """c_0 = head, c_1 = lag1 and c_k = sum of coefficient ratio^k beyond,
+    by np.power, so its rounding differs from the running products of T-hat."""
+    column = np.zeros(size)
+    lags = np.arange(2, size)
+    for coefficient, ratio in pairs:
+        column[2:] += coefficient * np.power(ratio, lags)
+    column[:2] = head, lag1
+    return StructuredOperator(column)
+
+
+@pytest.fixture
+def levinson_calls(monkeypatch):
+    """The shifts (drift included) every generator pass is asked about."""
+    module = importlib.import_module("nldiff.operator")
+    levinson = module._levinson_is_definite
+    shifts = []
+
+    def counting(hat, geometric, shift):
+        shifts.append(shift)
+        return levinson(hat, geometric, shift)
+
+    monkeypatch.setattr(module, "_levinson_is_definite", counting)
+    return shifts
+
+
+def test_generator_core_keeps_the_running_powers():
+    # a column built from the same running products as T-hat has no drift,
+    # and np.power's rounding gives a drift at the rounding level
+    pairs = [(-0.3, 0.9), (0.5, 0.6)]
+    size = 300
+    column = np.zeros(size)
+    column[:2] = 2.0, -0.4
+    for coefficient, ratio in pairs:
+        column[2:] += coefficient * np.cumprod(np.full(size - 1, ratio))[1:]
+    hat, drift = StructuredOperator(column)._geometric_core(pairs)
+    np.testing.assert_array_equal(hat, column)
+    assert drift == 0.0
+    rounded = exponential_sum_core(2.0, -0.4, pairs, size)
+    hat, drift = rounded._geometric_core(pairs)
+    np.testing.assert_array_equal(hat, column)
+    assert 0.0 < drift <= 1e-13
+
+
+coefficient_st = st.floats(-2.0, 2.0).filter(lambda c: abs(c) > 1e-3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(coefficient_st, st.floats(0.05, 0.999)), min_size=1, max_size=3),
+    head=st.floats(-1.0, 4.0),
+    lag1=st.floats(-1.0, 1.0),
+    size=st.integers(2, 80),
+    offsets=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6),
+)
+def test_levinson_agrees_with_durbin_on_exponential_sums(pairs, head, lag1, size, offsets):
+    # random exponential sums, sign-changing when the coefficients differ in
+    # sign: outside a rounding band around lambda_min, the O(n p) recursion
+    # on T-hat - (s + drift) I and Durbin's on T - s I agree with each other
+    # and with the dense spectrum
+    op = exponential_sum_core(head, lag1, pairs, size)
+    hat, drift = op._geometric_core(pairs)
+    low = float(np.linalg.eigvalsh(op.dense())[0])
+    scale = op.norm_inf()
+    band = 64.0 * size * np.finfo(float).eps * scale + 2.0 * drift
+    for offset in offsets:
+        shift = low + offset * scale
+        if abs(shift - low) <= band:
+            continue
+        durbin = op.core_is_definite(shift)
+        assert _levinson_is_definite(hat, pairs, shift + drift) == durbin == (shift < low)
+
+
+@pytest.mark.parametrize(
+    "problem_id, steps, half_width",
+    [
+        ("dirichlet-sech", 64, 5.0),
+        ("dirichlet-sech", 256, 10.0),
+        ("dirichlet-sech", 800, 10.0),
+        ("dirichlet-sech", 2000, 40.0),
+        ("dirichlet-mixed-kernel", 64, 5.0),
+        ("dirichlet-mixed-kernel", 256, 10.0),
+        ("dirichlet-mixed-kernel", 800, 10.0),
+        ("dirichlet-mixed-kernel", 2000, 40.0),
+    ],
+)
+def test_generator_bracket_holds_the_registry_eigenvalue(
+    problem_id, steps, half_width, durbin_calls, levinson_calls
+):
+    # the bracket with the generator never runs Durbin, keeps the Rayleigh
+    # ceiling bit for bit and holds the dense lambda_min
+    op, pairs = registry_generator(problem_id, steps, half_width)
+    low = np.linalg.eigvalsh(op.dense())[0]
+    _, plain_upper = op.core_eigenvalue_bracket()
+    durbin_calls.clear()
+    lower, upper = op.core_eigenvalue_bracket(pairs)
+    assert durbin_calls == []
+    assert len(levinson_calls) == (0 if problem_id == "dirichlet-sech" else 1)
+    assert upper == plain_upper
+    assert 0.0 < lower <= low <= upper
+
+
+def test_mixed_kernel_bracket_at_two_to_the_sixteen(durbin_calls, levinson_calls):
+    # far beyond the Durbin limit: one O(n p) pass, a two-sided bracket
+    op, pairs = registry_generator("dirichlet-mixed-kernel", 1 << 16)
+    assert op.size > MAX_DENSE_SIZE
+    lower, upper = op.core_eigenvalue_bracket(pairs)
+    assert durbin_calls == []
+    assert len(levinson_calls) == 1
+    assert 0.0 < lower < upper
+    # the drift, 5e-9 here, comes off the lower end twice
+    assert upper - lower <= 1e-6 * upper
+
+
+def test_refusal_waits_for_a_durbin_pass(monkeypatch):
+    # a Z-core without a generator is refused only once its Ritz vector
+    # turns out not to be positive; with a generator it takes the recursion
+    size = MAX_DENSE_SIZE + 2
+    op = singular_core(size)
+    pairs = [(0.0, 0.5)]
+    monkeypatch.setattr(StructuredOperator, "_lanczos", lanczos_settling_on(1.0))
+    with pytest.raises(ValueError, match="refusing to certify .*Ritz vector is not positive"):
+        op.core_eigenvalue_bracket()
+    lower, upper = op.core_eigenvalue_bracket(pairs)
+    assert lower <= 0.0 <= upper

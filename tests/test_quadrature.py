@@ -6,6 +6,8 @@ package, so its own checks lean on analytically known integrals only.
 
 import importlib
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -17,6 +19,10 @@ from nldiff.quadrature import (
     DecayCertificate,
     PowerDecayCertificate,
     QuadratureError,
+    _T7,
+    _T15,
+    _W7,
+    _W15,
     adaptive_quad,
     adaptive_quad_many,
     _versine_panels,
@@ -456,3 +462,22 @@ def test_lower_tail_beyond_its_truncation_point_is_empty():
     # its neighbour in the batch is integrated as it would be alone
     alone = adaptive_quad(lambda y: np.exp(-np.abs(y)), -math.inf, 0.0, 1e-3, decay=cert)
     assert r.value[1] == alone.value and r.evaluations == alone.evaluations
+
+
+def test_gauss_rules_equal_leggauss():
+    for size, nodes, weights in ((15, _T15, _W15), (7, _T7, _W7)):
+        want_nodes, want_weights = np.polynomial.legendre.leggauss(size)
+        assert np.array_equal(nodes, want_nodes)
+        assert np.array_equal(weights, want_weights)
+
+
+def test_import_leaves_numpy_polynomial_out():
+    # a fresh interpreter: this one has numpy.polynomial from the test above
+    package = importlib.import_module("nldiff")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(package.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([root, os.environ.get("PYTHONPATH", "")]))
+    script = "import sys, nldiff; nldiff.registry(); print('numpy.polynomial' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
