@@ -22,7 +22,7 @@ from .assembly import (
     realline_boundary_terms,
 )
 from .expint import exp_int
-from .grids import Grid, WeightSet, build_grid, compute_weights, hat_tail_integral
+from .grids import Grid, WeightSet, build_grid, compute_weights
 from .harness import (
     BuiltCase,
     CompatibilityResult,
@@ -40,7 +40,6 @@ from .kernels import (
     KernelValidationReport,
     SignClass,
     build_kernel,
-    eval_kernel,
     laplace_kernel,
     mixed_exponential_kernel,
     moment_f,
@@ -84,7 +83,6 @@ __all__ = [
     "WeightSet",
     "build_grid",
     "compute_weights",
-    "hat_tail_integral",
     "BuiltCase",
     "CompatibilityResult",
     "ConvergenceReport",
@@ -99,7 +97,6 @@ __all__ = [
     "KernelValidationReport",
     "SignClass",
     "build_kernel",
-    "eval_kernel",
     "laplace_kernel",
     "mixed_exponential_kernel",
     "moment_f",

@@ -1,6 +1,8 @@
 """Problem descriptions and assembly of the structured discrete systems.
 
-Three problem families share one weight table:
+Three problem families share one weight table, which the kernel and the
+grid alone fix: every `assemble*` takes (problem, grid) and computes it with
+`compute_weights`, so no table built for another grid or kernel can enter.
 
 - Dirichlet: data prescribed on the closed exterior |x| >= half_width moves
   into the right hand side (exterior sums plus the beyond-support boundary
@@ -222,11 +224,8 @@ def realline_boundary_terms(
     return b1, b1[::-1].copy()
 
 
-def assemble_dirichlet(
-    problem: DirichletProblem, grid: Grid, weights: WeightSet | None = None
-) -> DiscreteSystem:
-    if weights is None:
-        weights = compute_weights(problem.kernel, grid)
+def assemble_dirichlet(problem: DirichletProblem, grid: Grid) -> DiscreteSystem:
+    weights = compute_weights(problem.kernel, grid)
     m = grid.steps
     k = m // 2
     h = grid.spacing
@@ -254,15 +253,8 @@ def assemble_dirichlet(
     )
 
 
-def assemble_realline(
-    problem: RealLineProblem,
-    grid: Grid,
-    weights: WeightSet | None = None,
-    *,
-    variant: str = "realline",
-) -> DiscreteSystem:
-    if weights is None:
-        weights = compute_weights(problem.kernel, grid)
+def assemble_realline(problem: RealLineProblem, grid: Grid) -> DiscreteSystem:
+    weights = compute_weights(problem.kernel, grid)
     m = grid.steps
     k = m // 2
     h = grid.spacing
@@ -282,7 +274,7 @@ def assemble_realline(
     return DiscreteSystem(
         operator=StructuredOperator(_core_column(weights, idx.size), sums + b1),
         rhs=rhs,
-        variant=variant,
+        variant="realline",
         grid=grid,
         kernel=problem.kernel,
         indices=idx,
@@ -311,16 +303,20 @@ def neumann_to_realline(problem: NeumannProblem) -> RealLineProblem:
     return RealLineProblem(kernel=problem.kernel, forcing=closed_forcing, decay=problem.decay)
 
 
-def assemble(problem: AnyProblem, grid: Grid, weights: WeightSet | None = None) -> DiscreteSystem:
+def assemble(problem: AnyProblem, grid: Grid) -> DiscreteSystem:
+    """The discrete system of the problem on the grid, its weight table
+    computed from the problem's kernel and the grid."""
     if isinstance(problem, DirichletProblem):
-        return assemble_dirichlet(problem, grid, weights)
+        return assemble_dirichlet(problem, grid)
     if isinstance(problem, RealLineProblem):
-        return assemble_realline(problem, grid, weights)
+        return assemble_realline(problem, grid)
     if isinstance(problem, NeumannProblem):
         if not problem.split_radius < grid.half_width:
             raise ValueError(
                 "neumann split radius %.6g must lie strictly inside the grid half width %.6g"
                 % (problem.split_radius, grid.half_width)
             )
-        return assemble_realline(neumann_to_realline(problem), grid, weights, variant="neumann")
+        system = assemble_realline(neumann_to_realline(problem), grid)
+        system.variant = "neumann"
+        return system
     raise TypeError("unknown problem type %r" % type(problem).__name__)

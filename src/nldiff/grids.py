@@ -25,7 +25,7 @@ import numpy as np
 from .kernels import Kernel, _route_kernel, moment_f, tail_mass
 from .quadrature import adaptive_quad_many
 
-__all__ = ["Grid", "WeightSet", "build_grid", "hat_tail_integral", "compute_weights"]
+__all__ = ["Grid", "WeightSet", "build_grid", "compute_weights"]
 
 
 @dataclass(frozen=True)
@@ -79,21 +79,15 @@ class WeightSet:
     total: float
     tail_mass: float
 
-    def weight(self, j: int) -> float:
-        if abs(j) > self.grid.steps:
-            raise ValueError("weight index %d outside grid" % j)
-        return float(self.weights[j + self.grid.steps])
 
+def _hat_integrals(kernel: Kernel, grid: Grid, cut_cell: float = 0.0) -> np.ndarray:
+    """Integrals of the hats at nodes 1..M against the kernel over |y| >= h.
 
-def _hat_integrals(
-    kernel: Kernel, grid: Grid, k: np.ndarray, cut_cell: float = 0.0
-) -> np.ndarray:
-    """Integrals of the hats at nodes k (1 <= k <= M) against the kernel
-    over |y| >= h.
-
-    The closed route evaluates F and F' once at every node and takes second
-    differences (F' enters at the two half hats); for a kernel without
-    closed forms all requested hats are integrated in one batch.
+    The hat at node k covers [x_{k-1}, x_{k+1}] for 1 < k < M; at k = 1 only
+    its outward half (the moment rule replaces the inward one) and at k = M
+    only its inward half.  The closed route evaluates F and F' once at every
+    node and takes second differences (F' enters at the two half hats); for
+    a kernel without closed forms all hats are integrated in one batch.
     cut_cell, the moment weight of the inward half of the k = 1 hat, is
     added to that entry first.
     """
@@ -103,12 +97,13 @@ def _hat_integrals(
         x = h * np.arange(0, m + 1)
         f_nodes = np.asarray(kernel.antiderivative_second(x), dtype=float)
         fp_nodes = np.asarray(kernel.antiderivative_first(x), dtype=float)
-        table = np.zeros(m + 1)
-        table[1] = cut_cell + (f_nodes[2] - f_nodes[1]) / h - fp_nodes[1]
-        table[2:m] = (f_nodes[3 : m + 1] - 2.0 * f_nodes[2:m] + f_nodes[1 : m - 1]) / h
-        table[m] = fp_nodes[m] + (f_nodes[m - 1] - f_nodes[m]) / h
-        return table[k]
+        table = np.empty(m)
+        table[0] = cut_cell + (f_nodes[2] - f_nodes[1]) / h - fp_nodes[1]
+        table[1 : m - 1] = (f_nodes[3 : m + 1] - 2.0 * f_nodes[2:m] + f_nodes[1 : m - 1]) / h
+        table[m - 1] = fp_nodes[m] + (f_nodes[m - 1] - f_nodes[m]) / h
+        return table
 
+    k = np.arange(1, m + 1)
     center = h * k
     lo = h * np.where(k == 1, k, k - 1)
     hi = h * np.where(k == m, k, k + 1)
@@ -120,31 +115,16 @@ def _hat_integrals(
     # every hat centre is a breakpoint; each hat keeps only its own, which
     # lies strictly inside its support unless the hat is a half hat
     out = adaptive_quad_many(integrand, lo, hi, 0.0, rel=1e-13, breakpoints=center).value
-    out[k == 1] += cut_cell
+    out[0] += cut_cell
     return out
-
-
-def hat_tail_integral(kernel: Kernel, grid: Grid, j: int) -> float:
-    """Integral of the hat at node j against the kernel, restricted to |y| >= h.
-
-    For 1 < |j| < M this is the full hat support [x_{j-1}, x_{j+1}]; at
-    |j| = 1 only the outward half [x_1, x_2] (the inward half is replaced by
-    the moment rule); at |j| = M only the inward half [x_{M-1}, x_M].  The
-    closed route needs the kernel's closed forms; otherwise the hat is
-    integrated by quadrature.  This is the entry w_j of `compute_weights`
-    for |j| >= 2.
-    """
-    k = abs(j)
-    if k < 1 or k > grid.steps:
-        raise ValueError("hat index must satisfy 1 <= |j| <= M")
-    return float(_hat_integrals(kernel, grid, np.array([k]))[0])
 
 
 def compute_weights(kernel: Kernel, grid: Grid, method: str = "auto") -> WeightSet:
     """Weight table for the discrete operator on the given grid.
 
-    w_j for 1 <= |j| <= M is the hat integral of `hat_tail_integral`; w_{+-1}
-    also carries the cut cell's second moment weight moment_f(kernel, h, 1).
+    w_j for 1 <= |j| <= M is the integral of the hat at node j against the
+    kernel over |y| >= h; w_{+-1} also carries the cut cell's second moment
+    weight moment_f(kernel, h, 1).
     method "closed" insists on the kernel's closed forms, "quadrature"
     runs on the kernel stripped of every closed form (an independent route
     even when closed forms exist), and "auto" uses the closed forms the
@@ -153,9 +133,7 @@ def compute_weights(kernel: Kernel, grid: Grid, method: str = "auto") -> WeightS
     kernel = _route_kernel(kernel, method)
     m = grid.steps
     right = np.zeros(m + 1)
-    right[1:] = _hat_integrals(
-        kernel, grid, np.arange(1, m + 1), moment_f(kernel, grid.spacing, 1)
-    )
+    right[1:] = _hat_integrals(kernel, grid, moment_f(kernel, grid.spacing, 1))
     weights = np.concatenate([right[:0:-1], right])
     return WeightSet(
         grid=grid,

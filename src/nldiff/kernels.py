@@ -35,7 +35,6 @@ __all__ = [
     "build_kernel",
     "laplace_kernel",
     "mixed_exponential_kernel",
-    "eval_kernel",
     "moment_f",
     "tail_mass",
     "validate_kernel",
@@ -68,7 +67,6 @@ class Kernel:
     decay_rate: float
     decay_constant: float
     sign_class: SignClass
-    norm_l1: float
     # the (c, a) pairs of nu(y) = sum of c exp(-a |y|) for a kernel with
     # closed forms, None for any other kernel
     terms: tuple[tuple[float, float], ...] | None = None
@@ -181,7 +179,7 @@ def build_kernel(
     sign_changes: Sequence[float] = (),
     name: str = "custom",
 ) -> Kernel:
-    """Construct a kernel, checking its decay and deriving the L1 norm.
+    """Construct a kernel, checking its declared decay.
 
     |nu(y)| exp(decay_rate y) is probed out to y = 708 / decay_rate: a ratio
     that still grows there makes the rate false, and a declared constant
@@ -216,23 +214,12 @@ def build_kernel(
             "decay_constant %.6g is false: |nu(y)| exp(%.6g y) reaches %.6g on the probe"
             % (decay_constant, decay_rate, peak)
         )
-    cert = DecayCertificate(decay_rate, decay_constant)
-    breaks = tuple(float(s) for s in sign_changes)
-    norm = adaptive_quad(
-        lambda y: np.abs(np.asarray(evaluate(y), dtype=float)),
-        -math.inf,
-        math.inf,
-        1e-12,
-        decay=cert,
-        breakpoints=breaks,
-    ).value
     return Kernel(
         evaluate=evaluate,
         decay_rate=decay_rate,
         decay_constant=decay_constant,
         sign_class=sign_class,
-        norm_l1=norm,
-        sign_changes=breaks,
+        sign_changes=tuple(float(s) for s in sign_changes),
         name=name,
     )
 
@@ -306,13 +293,6 @@ def mixed_exponential_kernel() -> Kernel:
     return _exponential_sum_kernel(
         [(1.5, 1.0), (-2.0, 2.0)], (math.log(4.0 / 3.0),), "mixed-exponential"
     )
-
-
-def eval_kernel(kernel: Kernel, y) -> np.ndarray | float:
-    out = kernel.evaluate(np.asarray(y, dtype=float))
-    if np.isscalar(y) or getattr(y, "ndim", 1) == 0:
-        return float(np.asarray(out))
-    return np.asarray(out, dtype=float)
 
 
 def _tail_integral(kernel: Kernel, integrand, start: float) -> float:

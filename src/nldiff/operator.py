@@ -13,8 +13,11 @@ symmetric, so the second column is the first one reversed: B = [b, J b]
 with J the exchange matrix, and the operator stores b alone (`edge`).
 
 The operator never stores an n x n array.  Products go through a circulant
-embedding of T and numpy's real FFT, padded to a 5-smooth length, in
-O(n log n); the row-sum infinity norm follows from prefix sums in O(n).
+embedding of T and numpy's real FFT, padded to the even length
+N = 2 fast_length(n + 1), in O(n log n).  The embedding's symbol, stored
+once, also holds the eigenvalues of the sine-transform preconditioner, its
+entries 1 .. N/2 - 1 (see `solve`).  The row-sum infinity norm follows from
+prefix sums in O(n) (`_row_sum_norm`).
 `dense()` materialises the matrix for the dense LU oracle and refuses
 beyond MAX_DENSE_SIZE unknowns before allocating anything.
 
@@ -102,6 +105,21 @@ def _core_row_sums(mag: np.ndarray) -> np.ndarray:
     rows = np.arange(n)
     # row i holds c_{|i - j|}: c_0 once, then c_1.. on both sides
     return prefix[rows] + prefix[n - 1 - rows] - mag[0]
+
+
+def _row_sum_norm(column: np.ndarray, edge: np.ndarray | None) -> float:
+    """||T - [edge, edge reversed] @ [e_0, e_{n-1}]^T||_inf in O(n), T the
+    symmetric Toeplitz matrix with this first column; edge None means no
+    boundary columns."""
+    mag = np.abs(column)
+    sums = _core_row_sums(mag)
+    if edge is not None:
+        # the boundary columns replace |c| by |c - edge| in the first and,
+        # reversed, the last column of every row
+        change = np.abs(column - edge) - mag
+        sums += change
+        sums += change[::-1]
+    return float(sums.max())
 
 
 def _levinson_is_definite(
@@ -192,8 +210,10 @@ class StructuredOperator:
             object.__setattr__(self, "edge", edge)
         n = column.size
         # circulant embedding [c_0 .. c_{n-1}, 0 .., c_{n-1} .. c_1]; its first
-        # n rows and columns are T
-        padded = fast_length(2 * n - 1)
+        # n rows and columns are T.  The even length 2 fast_length(n + 1)
+        # makes its real symbol, at the frequencies below N / 2, the sine
+        # transform eigenvalues of the CG preconditioner as well
+        padded = 2 * fast_length(n + 1)
         embed = np.zeros(padded)
         embed[:n] = column
         embed[-(n - 1):] = column[:0:-1]
@@ -220,13 +240,7 @@ class StructuredOperator:
 
     def norm_inf(self) -> float:
         """Row-sum infinity norm ||N||_inf in O(n)."""
-        mag = np.abs(self.column)
-        sums = _core_row_sums(mag)
-        if self.edge is not None:
-            change = np.abs(self.column - self.edge) - mag
-            sums += change
-            sums += change[::-1]
-        return float(sums.max())
+        return _row_sum_norm(self.column, self.edge)
 
     def circulant_eigenvalues(self) -> np.ndarray:
         """Samples sigma(2 pi j / m) of the Fejer mean of T's symbol, rfft order.

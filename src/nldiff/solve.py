@@ -12,22 +12,27 @@ n' x n' matrix diagonalised by the DST-I, n' = fast_length(n + 1) - 1, with
 the truncated symbol at the sine frequencies pi j / (n' + 1) as its
 eigenvalues (Bini and Di Benedetto's natural tau; Di Benedetto, SIAM J. Sci.
 Comput. 16, 1995).  One real FFT pair of the even 5-smooth length
-N = 2 (n' + 1) applies it.  CG takes 1 to 6 steps on every registry
+N = 2 (n' + 1) applies it.  N is the operator's own padded length, so
+these eigenvalues are entries 1..n' of the real part of the symbol the
+operator stores for its matvec.  CG takes 1 to 6 steps on every registry
 problem from L = 5 to 40, fewer on the wider windows.  A sign-changing
 kernel may give a sine eigenvalue <= 0; it is replaced by the smallest
 Fejer sample of the symbol (`StructuredOperator.circulant_eigenvalues`),
 each a Rayleigh quotient of T, positive whenever T is positive definite,
 so the preconditioner stays positive definite.  The same samples give the
 refusal of a core that is not positive definite and the condition
-estimate.  Every product with T goes through the operator's FFT matvec.  The whole-line and flux-closure systems
-N = T - B E^T add two boundary columns, handled by Sherman-Morrison-Woodbury.
+estimate.  Every product with T goes through the operator's FFT matvec.
+The whole-line and flux-closure systems N = T - B E^T add two boundary
+columns, handled by Sherman-Morrison-Woodbury.
 The columns mirror each other, B = [b_0, J b_0], and J T = T J, so one
 batched CG run for b and b_0 gives T^{-1} J b_0 as the reversed T^{-1} b_0,
 and the 2 x 2 capacitance splits into an even and an odd scalar.  Dirichlet
 systems run the same code with no boundary columns.  Dense LU remains as
 the explicit oracle `solve(system, method="dense")`.  Either way the solver
 verifies the residual with the fast matvec and refuses to return a
-solution that does not satisfy it.
+solution that does not satisfy it.  The reported 2-norms of the residual
+are taken on the residual scaled by its largest entry, so a tiny residual
+does not underflow to 0 when squared.
 
 The stability report samples the operator symbol on the cosine modes of the
 weight support, j = 0..M with R = M h the weight support radius:
@@ -65,7 +70,8 @@ terms and the grid spacing, never from assembly), less the measured
 distance to the assembled core; a kernel without terms takes one Durbin
 pass, O(n^2), refused beyond MAX_DENSE_SIZE unknowns.  The grid is stable
 when the lower end is positive.  The whole-line and flux-closure
-certificate is the O(n) norm ||I - N||_inf.
+certificate is the norm ||I - N||_inf, row sums of the column and the edge
+in O(n) with no FFT (`operator._row_sum_norm`).
 """
 
 from __future__ import annotations
@@ -79,7 +85,7 @@ import numpy as np
 from .assembly import DiscreteSystem
 from .grids import Grid
 from .kernels import Kernel, tail_mass
-from .operator import StructuredOperator, _gamma, fast_length
+from .operator import StructuredOperator, _gamma, _row_sum_norm
 from .quadrature import versine_transform
 
 __all__ = [
@@ -151,12 +157,13 @@ def _sine_preconditioner(
     sin(pi j k / (n' + 1)) and S^2 = (n' + 1) / 2 I, n' = fast_length(n + 1)
     - 1.  Its eigenvalues are T's symbol truncated to its n lags at the sine
     frequencies, lambda_j = c_0 + 2 sum_{0<k<n} c_k cos(k pi j / (n' + 1))
-    for j = 1..n', which is 2 Re rfft(column, N)_j - c_0 for the even,
-    5-smooth N = 2 (n' + 1).  A lambda_j <= 0, which only a sign-changing
-    kernel can give, is replaced by the smallest Fejer sample
-    `eigenvalues`, positive once `_solve_structured`'s refusal has passed.
-    P, a principal block of a symmetric positive definite matrix, is then
-    one.
+    for j = 1..n'.  The operator pads its circulant embedding to the even,
+    5-smooth N = 2 (n' + 1), so these are entries 1..n' of the real part of
+    its stored symbol, and no transform is taken here.  A lambda_j <= 0,
+    which only a sign-changing kernel can give, is replaced by the smallest
+    Fejer sample `eigenvalues`, positive once `_solve_structured`'s refusal
+    has passed.  P, a principal block of a symmetric positive definite
+    matrix, is then one.
 
     tau^{-1} = 2 / (n' + 1) S diag(1 / lambda) S, and one real FFT pair of
     length N applies it.  r sits at positions 1..n of a zero buffer, and
@@ -167,11 +174,10 @@ def _sine_preconditioner(
     lambda table is the one array kept between calls.
     """
     n = operator.size
-    length = 2 * fast_length(n + 1)
-    sine = 2.0 * np.fft.rfft(operator.column, length).real[1:-1] - operator.column[0]
-    sine[sine <= 0.0] = eigenvalues.min()
+    length = operator._padded
+    sine = operator._symbol.real[1:-1]
     table = np.zeros(length // 2 + 1)
-    table[1:-1] = 2.0 / sine
+    table[1:-1] = 2.0 / np.where(sine > 0.0, sine, eigenvalues.min())
 
     def precondition(r):
         buffer = np.zeros(r.shape[:-1] + (length,))
@@ -346,7 +352,11 @@ def solve(system: DiscreteSystem, method: str = "structured") -> Solution:
         )
 
     h = system.grid.spacing
-    res_l2 = float(np.linalg.norm(residual))
+    # scaled by its largest entry, the squares of a residual near 1e-190
+    # stay in the floats
+    res_l2 = 0.0
+    if res_inf > 0.0:
+        res_l2 = res_inf * float(np.linalg.norm(residual / res_inf))
     diagnostics = {
         "residual_inf": res_inf,
         "residual_bound": bound,
@@ -462,7 +472,7 @@ def stability_report(system: DiscreteSystem) -> StabilityReport:
         # I - N = (I - T) + B E^T, again Toeplitz plus boundary columns
         gap_column = -operator.column
         gap_column[0] += 1.0
-        contraction = StructuredOperator(gap_column, -operator.edge).norm_inf()
+        contraction = _row_sum_norm(gap_column, -operator.edge)
         stable = contraction < 1.0
 
     symbol, symbol_error = _symbol_samples(kernel, grid)

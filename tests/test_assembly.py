@@ -6,6 +6,7 @@ against the closed expressions, through both evaluation routes.
 """
 
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -85,9 +86,8 @@ class TestDirichletBoundaryTerm:
         kernel, count = counted(laplace_kernel())
         problem = make_sech_problem(kernel, None)
         grid = build_grid(10.0, 400)
-        weights = compute_weights(kernel, grid)
         count[0] = 0
-        assemble_dirichlet(problem, grid, weights)
+        assemble_dirichlet(problem, grid)
         assert count[0] == 83864
         count[0] = 0
         loop = np.array([dirichlet_boundary_term(problem, grid, i) for i in range(-199, 200)])
@@ -150,10 +150,10 @@ class TestDirichletSystem:
         kernel = laplace_kernel()
         grid = build_grid(5.0, 64)
         ws = compute_weights(kernel, grid)
-        system = assemble(make_sech_problem(kernel, sech_boundary), grid, ws)
+        system = assemble(make_sech_problem(kernel, sech_boundary), grid)
         matrix = system.operator.dense()
         assert matrix[0, 0] == ws.total + ws.tail_mass
-        assert matrix[3, 10] == -ws.weight(7)
+        assert matrix[3, 10] == -ws.weights[grid.steps + 7]
 
     def test_variant_and_bookkeeping(self):
         grid = build_grid(5.0, 64)
@@ -190,7 +190,7 @@ class TestExteriorSums:
             exterior_data=data,
             closed_boundary_term=lambda x, radius: np.zeros_like(np.asarray(x, dtype=float)),
         )
-        system = assemble(problem, grid, ws)
+        system = assemble(problem, grid)
         h, k, m = grid.spacing, grid.steps // 2, grid.steps
         ext = h * np.arange(k, k + m + 1)
         right, left = loop_exterior_sums(ws, data(ext), data(-ext), system.indices)
@@ -202,7 +202,7 @@ class TestExteriorSums:
         grid = build_grid(4.0, 40)
         ws = compute_weights(kernel, grid)
         decay = DecayModel(1.5)
-        system = assemble_realline(RealLineProblem(kernel, np.cos, decay), grid, ws)
+        system = assemble_realline(RealLineProblem(kernel, np.cos, decay), grid)
         h, k, m = grid.spacing, grid.steps // 2, grid.steps
         prof = np.zeros(m + 1)
         prof[1:] = (grid.half_width / (h * np.arange(k + 1, k + m + 1))) ** 1.5
@@ -352,11 +352,10 @@ class TestRealLineSystem:
     def test_interior_block_matches_dirichlet_core(self):
         kernel = laplace_kernel()
         grid = build_grid(5.0, 64)
-        ws = compute_weights(kernel, grid)
         line = assemble_realline(
-            RealLineProblem(kernel=kernel, forcing=np.cos, decay=DecayModel(2.0)), grid, ws
+            RealLineProblem(kernel=kernel, forcing=np.cos, decay=DecayModel(2.0)), grid
         )
-        diri = assemble_dirichlet(make_sech_problem(kernel, sech_boundary), grid, ws)
+        diri = assemble_dirichlet(make_sech_problem(kernel, sech_boundary), grid)
         line_matrix = line.operator.dense()
         assert line_matrix.shape == (65, 65)
         np.testing.assert_array_equal(line_matrix[1:-1, 1:-1], diri.operator.dense())
@@ -366,13 +365,13 @@ class TestRealLineSystem:
         grid = build_grid(5.0, 64)
         ws = compute_weights(kernel, grid)
         problem = RealLineProblem(kernel=kernel, forcing=np.cos, decay=DecayModel(2.0))
-        system = assemble_realline(problem, grid, ws)
+        system = assemble_realline(problem, grid)
         matrix = system.operator.dense()
         base = ws.total + ws.tail_mass
         # edge columns sit strictly below the unmodified toeplitz values
         assert matrix[0, 0] < base
         assert matrix[-1, -1] < base
-        assert matrix[5, 0] < -ws.weight(5)
+        assert matrix[5, 0] < -ws.weights[grid.steps + 5]
         np.testing.assert_array_equal(system.rhs, np.cos(grid.spacing * system.indices))
         assert system.variant == "realline"
         assert system.decay is problem.decay
@@ -398,7 +397,6 @@ class TestNeumann:
         # whole-line problem
         kernel = laplace_kernel()
         grid = build_grid(5.0, 64)
-        ws = compute_weights(kernel, grid)
         f = lambda x: np.cos(np.asarray(x, dtype=float))
         neumann = NeumannProblem(
             kernel=kernel,
@@ -408,8 +406,8 @@ class TestNeumann:
             decay=DecayModel(2.0),
         )
         line = RealLineProblem(kernel=kernel, forcing=f, decay=DecayModel(2.0))
-        sys_n = assemble(neumann, grid, ws)
-        sys_l = assemble(line, grid, ws)
+        sys_n = assemble(neumann, grid)
+        sys_l = assemble(line, grid)
         np.testing.assert_array_equal(sys_n.operator.dense(), sys_l.operator.dense())
         np.testing.assert_array_equal(sys_n.rhs, sys_l.rhs)
         assert sys_n.variant == "neumann"
@@ -474,3 +472,11 @@ class TestCertificates:
     def test_unknown_problem_type(self):
         with pytest.raises(TypeError):
             assemble(object(), build_grid(5.0, 64))
+
+
+def test_assembly_takes_no_weight_table():
+    # a table built for another grid would enter assembly unchecked, and the
+    # residual check would certify the wrong system (nodal values 0.52 off
+    # on dirichlet-sech at L = 10 with the table of L = 5)
+    for assembler in (assemble, assemble_dirichlet, assemble_realline):
+        assert list(inspect.signature(assembler).parameters) == ["problem", "grid"]

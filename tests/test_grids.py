@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nldiff.grids import _hat_integrals, build_grid, compute_weights, hat_tail_integral
+from nldiff.grids import _hat_integrals, build_grid, compute_weights
 from nldiff.kernels import laplace_kernel, mixed_exponential_kernel, moment_f
 from nldiff.quadrature import adaptive_quad
 
@@ -72,6 +72,12 @@ class TestGrid:
             build_grid(half_width, 8)
 
 
+def weight(kernel, grid, j, method="auto"):
+    """w_j of the weight table: the hat integral at node j, which at |j| = 1
+    also carries the cut cell's moment weight."""
+    return compute_weights(kernel, grid, method).weights[grid.steps + j]
+
+
 class TestHatTailIntegral:
     def test_interior_matches_direct_quadrature(self, laplace):
         g = build_grid(2.0, 8)
@@ -83,7 +89,7 @@ class TestHatTailIntegral:
                 lambda y: hat(y) * laplace.evaluate(y), xj - h, xj + h, 0.0,
                 rel=1e-13, breakpoints=(xj,),
             ).value
-            assert hat_tail_integral(laplace, g, j) == pytest.approx(direct, rel=1e-12)
+            assert weight(laplace, g, j) == pytest.approx(direct, rel=1e-12)
 
     def test_closed_interior_value(self, laplace):
         # grid (L=2, M=8), j=3: (1/h)[F(x4) - 2F(x3) + F(x2)], F = e^{-|y|}/2
@@ -91,28 +97,23 @@ class TestHatTailIntegral:
         want = 2.0 * (
             0.5 * math.exp(-2.0) - math.exp(-1.5) + 0.5 * math.exp(-1.0)
         )
-        assert hat_tail_integral(laplace, g, 3) == pytest.approx(want, rel=1e-14)
+        assert weight(laplace, g, 3) == pytest.approx(want, rel=1e-14)
 
     def test_even_in_j(self, laplace, mixed):
         g = build_grid(5.0, 64)
         for kernel in (laplace, mixed):
-            for j in (1, 2, 31, 64):
-                assert hat_tail_integral(kernel, g, j) == hat_tail_integral(kernel, g, -j)
+            for method in ("closed", "quadrature"):
+                w = compute_weights(kernel, g, method).weights
+                for j in (1, 2, 31, 64):
+                    assert w[64 + j] == w[64 - j]
 
     def test_edge_cases_match_quadrature_fallback(self, laplace):
+        # the half hats at |j| = 1 (with the cut cell's moment weight) and M
         g = build_grid(2.0, 8)
-        stripped = laplace.without_closed_forms()
         for j in (1, 8):
-            closed = hat_tail_integral(laplace, g, j)
-            fallback = hat_tail_integral(stripped, g, j)
+            closed = weight(laplace, g, j, "closed")
+            fallback = weight(laplace, g, j, "quadrature")
             assert closed == pytest.approx(fallback, rel=1e-10)
-
-    def test_out_of_range_rejected(self, laplace):
-        g = build_grid(2.0, 8)
-        with pytest.raises(ValueError):
-            hat_tail_integral(laplace, g, 0)
-        with pytest.raises(ValueError):
-            hat_tail_integral(laplace, g, 9)
 
 
 # weights frozen from scipy.integrate.quad hat integrals at (L=5, M=64)
@@ -125,14 +126,13 @@ FROZEN_WEIGHTS = {
 class TestWeights:
     def test_center_weight_zero(self, laplace):
         ws = compute_weights(laplace, build_grid(5.0, 64))
-        assert ws.weight(0) == 0.0
+        assert ws.weights[64] == 0.0
 
     def test_even(self, laplace, mixed):
         g = build_grid(10.0, 100)
         for kernel in (laplace, mixed):
             ws = compute_weights(kernel, g)
-            for j in range(1, 101):
-                assert ws.weight(j) == ws.weight(-j)
+            np.testing.assert_array_equal(ws.weights, ws.weights[::-1])
 
     def test_nonnegative_kernel_gives_nonnegative_weights(self, laplace):
         ws = compute_weights(laplace, build_grid(10.0, 100))
@@ -143,7 +143,7 @@ class TestWeights:
         for name, kernel in (("laplace", laplace), ("mixed", mixed)):
             ws = compute_weights(kernel, g)
             for j, want in FROZEN_WEIGHTS[name]:
-                assert ws.weight(j) == pytest.approx(want, rel=1e-9)
+                assert ws.weights[64 + j] == pytest.approx(want, rel=1e-9)
 
     def test_routes_agree(self, laplace, mixed):
         # per node, including the tiny weights next to the mixed kernel's
@@ -162,7 +162,7 @@ class TestWeights:
         grid = build_grid(10.0, 1600)
         m, h = grid.steps, grid.spacing
         nodes = np.arange(1, m + 1)
-        batch = _hat_integrals(kernel, grid, nodes)
+        batch = _hat_integrals(kernel, grid)
         assert count[0] == 70444
         count[0] = 0
         loop = np.empty(m)
@@ -201,7 +201,7 @@ class TestWeights:
         ws = compute_weights(laplace, g)
         for j in (5, 40, 200, 399):
             expected = float(laplace.evaluate(g.node(j))) * h
-            assert abs(ws.weight(j) - expected) <= 1.0 * h * h
+            assert abs(ws.weights[400 + j] - expected) <= 1.0 * h * h
 
     def test_sum_identity(self, laplace, mixed):
         """1 - (sum of weights + tail mass) equals the kernel mass the hats

@@ -449,6 +449,21 @@ def test_residual_bound_holds_under_random_forcings(
     assert np.abs(fast.values - dense).max() <= 1e-10 * np.abs(dense).max()
 
 
+def test_residual_two_norm_survives_a_tiny_residual():
+    # the @example above: its residual is near 1e-190, whose squares
+    # underflowed, so the unscaled 2-norm read 0 beside a nonzero max-norm
+    def forcing(x):
+        z = (np.asarray(x, dtype=float) - 5.0) / 0.25
+        return -np.exp(-z * z)
+
+    problem = dataclasses.replace(
+        _variant_problem("neumann", _KERNELS["laplace"], 1.0), forcing=forcing
+    )
+    diagnostics = solve(assemble(problem, build_grid(1.0, 4))).diagnostics
+    assert diagnostics["residual_l2"] >= diagnostics["residual_inf"] > 0.0
+    assert diagnostics["residual_l2_weighted"] > 0.0
+
+
 class TestSolveFaults:
     def test_cg_breakdown_on_an_indefinite_core(self, sech_system):
         # unit diagonal with 2 in the corners: the (0, n-1) block has
