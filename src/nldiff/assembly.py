@@ -15,24 +15,26 @@ grid alone fix: every `assemble*` takes (problem, grid) and computes it with
 - Neumann flux closure: rewritten as a real line problem whose forcing takes
   the exterior branch on |x| >= split_radius (closed exterior convention).
 
-Every system is a `StructuredOperator`: the symmetric Toeplitz core given by
-its first column plus, for the real line and flux closure, two mirrored
-boundary columns, stored as the first one (`edge`).  The exterior sums are
-one FFT convolution of the weight table with the exterior data or the decay
-profile, so assembly costs O(n log n) time and O(n) memory.
+A `DiscreteSystem` is (problem, grid, operator, rhs), nothing copied out of
+the problem.  Its operator is a `StructuredOperator`: the symmetric Toeplitz
+core given by its first column plus, for the real line and flux closure, two
+mirrored boundary columns, stored as the first one (`edge`).  The exterior
+sums are one FFT convolution of the weight table with the exterior data or
+the decay profile, so assembly costs O(n log n) time and O(n) memory.
 
 The beyond-support integrals take a closed form when the problem or the
 kernel carries one.  Otherwise all of them come from one batched adaptive
 quadrature (`adaptive_quad_many`): one tail integral per node for the real
 line, two per node (left and right tail) for Dirichlet data, each with its
-own certificate and tolerance.  `dirichlet_boundary_term` is the one-node
-case of the Dirichlet routine that `assemble_dirichlet` runs on every node.
+own decay certificate and a tolerance scaled to that certificate's tail
+(`_beyond_support`).  `dirichlet_boundary_term` is the one-node case of the
+Dirichlet routine that `assemble_dirichlet` runs on every node.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Union
 
 import numpy as np
@@ -118,16 +120,28 @@ class NeumannProblem:
 AnyProblem = Union[DirichletProblem, RealLineProblem, NeumannProblem]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DiscreteSystem:
+    """N u = rhs for the problem on the grid; the flux closure keeps its
+    `NeumannProblem`.  Unknown k sits at node indices[k]: M - 1 unknowns for
+    Dirichlet data, M + 1 for the whole line and the flux closure."""
+
+    problem: AnyProblem
+    grid: Grid
     operator: StructuredOperator
     rhs: np.ndarray
-    variant: str
-    grid: Grid
-    kernel: Kernel
-    indices: np.ndarray
-    decay: DecayModel | None = None
-    exterior_data: Callable[[np.ndarray], np.ndarray] | None = None
+
+    @property
+    def variant(self) -> str:
+        return _VARIANTS[type(self.problem)]
+
+    @property
+    def indices(self) -> np.ndarray:
+        n = self.operator.size
+        return np.arange(n) - n // 2
+
+
+_VARIANTS = {DirichletProblem: "dirichlet", RealLineProblem: "realline", NeumannProblem: "neumann"}
 
 
 def _core_column(weights: WeightSet, size: int) -> np.ndarray:
@@ -136,6 +150,17 @@ def _core_column(weights: WeightSet, size: int) -> np.ndarray:
     column = -weights.weights[m : m + size]
     column[0] = weights.total + weights.tail_mass
     return column
+
+
+def _beyond_support(integrand: Callable, radius: float, certs: list) -> np.ndarray:
+    """int_radius^inf integrand(y, i) dy for every i < len(certs), certs[i]
+    bounding integrand i, all of them in one batch."""
+    # each integral is itself a kernel tail, so its absolute tolerance is
+    # scaled to its own certified tail size or the answer drowns in slack
+    tol = np.array([max(1e-12 * cert.tail_bound(radius), 1e-300) for cert in certs])
+    return adaptive_quad_many(
+        integrand, np.full(len(certs), radius), math.inf, tol, rel=1e-12, decay=certs
+    ).value
 
 
 def _dirichlet_boundary(problem: DirichletProblem, grid: Grid, x: np.ndarray) -> np.ndarray:
@@ -155,23 +180,17 @@ def _dirichlet_boundary(problem: DirichletProblem, grid: Grid, x: np.ndarray) ->
     base = DecayCertificate(kernel.decay_rate, kernel.decay_constant * growth.constant)
     # |g(x -+ y) nu(y)| <= C_g (1 + |x| + |y|)^degree * C_nu e^(-rate |y|)
     certs = [base.times_power(growth.degree, 1.0 + abs(float(xi))) for xi in x]
-    # the integral is itself a kernel tail, so an absolute tolerance must be
-    # scaled to the certified tail size or the answer drowns in slack
-    tol = np.array([max(1e-12 * cert.tail_bound(radius), 1e-300) for cert in certs])
     # integrals 0..n-1 take g(x - y) (the right tail), n..2n-1 g(x + y)
     n = x.size
     center = np.concatenate([x, x])
     sign = np.repeat([1.0, -1.0], n)
     g = problem.exterior_data
     nu = kernel.evaluate
-    sides = adaptive_quad_many(
+    sides = _beyond_support(
         lambda y, owner: np.asarray(g(center[owner] - sign[owner] * y), dtype=float) * nu(y),
-        np.full(2 * n, radius),
-        math.inf,
-        np.concatenate([tol, tol]),
-        rel=1e-12,
-        decay=certs + certs,
-    ).value
+        radius,
+        certs + certs,
+    )
     return sides[:n] + sides[n:]
 
 
@@ -207,20 +226,15 @@ def realline_boundary_terms(
         b1 = kernel.exterior_moment(xi, radius, q, edge)
         return b1, b1[::-1].copy()
 
-    # |center + s| / edge >= (radius - edge) / edge on the whole integration
-    # range, so the ratio is at most its value there
-    cert = kernel.decay().times_power(-q, (radius - edge) / edge)
-    # scale the tolerance to the certified tail size; these integrals sit far
-    # below any fixed absolute tolerance
-    tol = max(1e-12 * cert.tail_bound(radius), 1e-300)
-    b1 = adaptive_quad_many(
-        lambda s, owner: (edge / np.abs(xi[owner] + s)) ** q * kernel.evaluate(s),
-        np.full(xi.size, radius),
-        math.inf,
-        tol,
-        rel=1e-12,
-        decay=cert,
-    ).value
+    # |x_i + s| >= radius + x_i, so node i's ratio is at most edge / (radius +
+    # x_i).  An offset is lowered to the cap, whose bound e^-690 stays in the
+    # floats: the bound stays true, and the node's tolerance takes the floor
+    cap = math.exp(min(690.0 / q, 700.0))
+    base = kernel.decay()
+    certs = [base.times_power(-q, min((radius + x) / edge, cap)) for x in xi.tolist()]
+    b1 = _beyond_support(
+        lambda s, owner: (edge / np.abs(xi[owner] + s)) ** q * kernel.evaluate(s), radius, certs
+    )
     return b1, b1[::-1].copy()
 
 
@@ -242,15 +256,8 @@ def assemble_dirichlet(problem: DirichletProblem, grid: Grid) -> DiscreteSystem:
 
     boundary = _dirichlet_boundary(problem, grid, h * idx)
     rhs = np.asarray(problem.forcing(h * idx), dtype=float) + exterior + boundary
-    return DiscreteSystem(
-        operator=StructuredOperator(_core_column(weights, idx.size)),
-        rhs=rhs,
-        variant="dirichlet",
-        grid=grid,
-        kernel=problem.kernel,
-        indices=idx,
-        exterior_data=g,
-    )
+    operator = StructuredOperator(_core_column(weights, idx.size))
+    return DiscreteSystem(problem, grid, operator, rhs)
 
 
 def assemble_realline(problem: RealLineProblem, grid: Grid) -> DiscreteSystem:
@@ -270,16 +277,9 @@ def assemble_realline(problem: RealLineProblem, grid: Grid) -> DiscreteSystem:
     # b2 is b1 reversed, so the second column is this one reversed
     b1, _ = realline_boundary_terms(problem.kernel, grid, problem.decay)
 
+    operator = StructuredOperator(_core_column(weights, idx.size), sums + b1)
     rhs = np.asarray(problem.forcing(h * idx), dtype=float)
-    return DiscreteSystem(
-        operator=StructuredOperator(_core_column(weights, idx.size), sums + b1),
-        rhs=rhs,
-        variant="realline",
-        grid=grid,
-        kernel=problem.kernel,
-        indices=idx,
-        decay=problem.decay,
-    )
+    return DiscreteSystem(problem, grid, operator, rhs)
 
 
 def neumann_to_realline(problem: NeumannProblem) -> RealLineProblem:
@@ -316,7 +316,5 @@ def assemble(problem: AnyProblem, grid: Grid) -> DiscreteSystem:
                 "neumann split radius %.6g must lie strictly inside the grid half width %.6g"
                 % (problem.split_radius, grid.half_width)
             )
-        system = assemble_realline(neumann_to_realline(problem), grid)
-        system.variant = "neumann"
-        return system
+        return replace(assemble_realline(neumann_to_realline(problem), grid), problem=problem)
     raise TypeError("unknown problem type %r" % type(problem).__name__)

@@ -467,10 +467,12 @@ def compatibility_check(
 
     A whole-line or flux-closure forcing must have vanishing mean and first
     moment for the continuous problem to be solvable; the result carries
-    both values so callers can report which one failed.
+    both values so callers can report which one failed.  tol must be finite.
     """
     if not isinstance(decay_certificate, (DecayCertificate, PowerDecayCertificate)):
         raise TypeError("unsupported certificate %r" % type(decay_certificate).__name__)
+    if not math.isfinite(tol):
+        raise ValueError("compatibility tolerance must be finite, got %r" % tol)
     quad_tol = min(tol / 10.0, 1e-10)
     # one batch: integral 0 is the mean, integral 1 the first moment
     moments = adaptive_quad_many(

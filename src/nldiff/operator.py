@@ -15,8 +15,9 @@ with J the exchange matrix, and the operator stores b alone (`edge`).
 The operator never stores an n x n array.  Products go through a circulant
 embedding of T and numpy's real FFT, padded to the even length
 N = 2 fast_length(n + 1), in O(n log n).  The embedding's symbol, stored
-once, also holds the eigenvalues of the sine-transform preconditioner, its
-entries 1 .. N/2 - 1 (see `solve`).  The row-sum infinity norm follows from
+once, also holds the eigenvalues of the sine-transform preconditioner of
+the conjugate gradient solve, its entries 1 .. N/2 - 1
+(`sine_preconditioner`).  The row-sum infinity norm follows from
 prefix sums in O(n) (`_row_sum_norm`).
 `dense()` materialises the matrix for the dense LU oracle and refuses
 beyond MAX_DENSE_SIZE unknowns before allocating anything.
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -237,6 +238,45 @@ class StructuredOperator:
         if self.edge is not None:
             out -= x[..., :1] * self.edge + x[..., -1:] * self.edge[::-1]
         return out
+
+    def sine_preconditioner(self, floor: float) -> Callable[[np.ndarray], np.ndarray]:
+        """r -> P r, P the leading n x n block of tau^{-1}.
+
+        tau is the n' x n' matrix diagonalised by the DST-I S, S_jk =
+        sin(pi j k / (n' + 1)) and S^2 = (n' + 1) / 2 I, n' = fast_length(n +
+        1) - 1.  Its eigenvalues are T's symbol truncated to its n lags at the
+        sine frequencies, lambda_j = c_0 + 2 sum_{0<k<n} c_k cos(k pi j / (n'
+        + 1)) for j = 1..n'.  The circulant embedding is padded to the even,
+        5-smooth N = 2 (n' + 1), so these are entries 1..n' of the real part
+        of the stored symbol, and no transform is taken here.  A lambda_j <=
+        0, which only a sign-changing kernel can give, is replaced by floor,
+        the smallest Fejer sample (`circulant_eigenvalues`) in the solve,
+        positive once its refusal has passed.  P, a principal block of a
+        symmetric positive definite matrix, is then one.
+
+        tau^{-1} = 2 / (n' + 1) S diag(1 / lambda) S, and one real FFT pair of
+        length N applies it.  r sits at positions 1..n of a zero buffer, and
+        the imaginary part of the buffer's rfft is -S r.  The real part is
+        zeroed and the imaginary part scaled by 2 / lambda_j (0 at j = 0 and
+        N / 2).  Positions 1..n of the irfft, which carries the factor 2 / N
+        = 1 / (n' + 1), are P r.  The irfft writes into the buffer, and the
+        2 / lambda table is the one array kept between calls.
+        """
+        n = self.size
+        length = self._padded
+        sine = self._symbol.real[1:-1]
+        table = np.zeros(length // 2 + 1)
+        table[1:-1] = 2.0 / np.where(sine > 0.0, sine, floor)
+
+        def precondition(r):
+            buffer = np.zeros(r.shape[:-1] + (length,))
+            buffer[..., 1 : n + 1] = r
+            spectrum = np.fft.rfft(buffer, axis=-1)
+            spectrum.real = 0.0
+            spectrum.imag *= table
+            return np.fft.irfft(spectrum, length, axis=-1, out=buffer)[..., 1 : n + 1]
+
+        return precondition
 
     def norm_inf(self) -> float:
         """Row-sum infinity norm ||N||_inf in O(n)."""

@@ -11,11 +11,10 @@ do.  The preconditioner is the leading n x n block of tau^{-1}, tau the
 n' x n' matrix diagonalised by the DST-I, n' = fast_length(n + 1) - 1, with
 the truncated symbol at the sine frequencies pi j / (n' + 1) as its
 eigenvalues (Bini and Di Benedetto's natural tau; Di Benedetto, SIAM J. Sci.
-Comput. 16, 1995).  One real FFT pair of the even 5-smooth length
-N = 2 (n' + 1) applies it.  N is the operator's own padded length, so
-these eigenvalues are entries 1..n' of the real part of the symbol the
-operator stores for its matvec.  CG takes 1 to 6 steps on every registry
-problem from L = 5 to 40, fewer on the wider windows.  A sign-changing
+Comput. 16, 1995).  The operator builds it from the symbol it stores for
+its matvec (`StructuredOperator.sine_preconditioner`).  CG takes 1 to 6
+steps on every registry problem from L = 5 to 40, fewer on the wider
+windows.  A sign-changing
 kernel may give a sine eigenvalue <= 0; it is replaced by the smallest
 Fejer sample of the symbol (`StructuredOperator.circulant_eigenvalues`),
 each a Rayleigh quotient of T, positive whenever T is positive definite,
@@ -78,7 +77,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -148,48 +147,6 @@ def _circulant_condition(eigenvalues: np.ndarray) -> float:
     return float(eigenvalues.max()) / low if low > 0.0 else math.inf
 
 
-def _sine_preconditioner(
-    operator: StructuredOperator, eigenvalues: np.ndarray
-) -> Callable[[np.ndarray], np.ndarray]:
-    """r -> P r, P the leading n x n block of tau^{-1}.
-
-    tau is the n' x n' matrix diagonalised by the DST-I S, S_jk =
-    sin(pi j k / (n' + 1)) and S^2 = (n' + 1) / 2 I, n' = fast_length(n + 1)
-    - 1.  Its eigenvalues are T's symbol truncated to its n lags at the sine
-    frequencies, lambda_j = c_0 + 2 sum_{0<k<n} c_k cos(k pi j / (n' + 1))
-    for j = 1..n'.  The operator pads its circulant embedding to the even,
-    5-smooth N = 2 (n' + 1), so these are entries 1..n' of the real part of
-    its stored symbol, and no transform is taken here.  A lambda_j <= 0,
-    which only a sign-changing kernel can give, is replaced by the smallest
-    Fejer sample `eigenvalues`, positive once `_solve_structured`'s refusal
-    has passed.  P, a principal block of a symmetric positive definite
-    matrix, is then one.
-
-    tau^{-1} = 2 / (n' + 1) S diag(1 / lambda) S, and one real FFT pair of
-    length N applies it.  r sits at positions 1..n of a zero buffer, and
-    the imaginary part of the buffer's rfft is -S r.  The real part is
-    zeroed and the imaginary part scaled by 2 / lambda_j (0 at j = 0 and
-    N / 2).  Positions 1..n of the irfft, which carries the factor 2 / N =
-    1 / (n' + 1), are P r.  The irfft writes into the buffer, and the 2 /
-    lambda table is the one array kept between calls.
-    """
-    n = operator.size
-    length = operator._padded
-    sine = operator._symbol.real[1:-1]
-    table = np.zeros(length // 2 + 1)
-    table[1:-1] = 2.0 / np.where(sine > 0.0, sine, eigenvalues.min())
-
-    def precondition(r):
-        buffer = np.zeros(r.shape[:-1] + (length,))
-        buffer[..., 1 : n + 1] = r
-        spectrum = np.fft.rfft(buffer, axis=-1)
-        spectrum.real = 0.0
-        spectrum.imag *= table
-        return np.fft.irfft(spectrum, length, axis=-1, out=buffer)[..., 1 : n + 1]
-
-    return precondition
-
-
 def _preconditioned_cg(
     operator: StructuredOperator, eigenvalues: np.ndarray, rhs: np.ndarray
 ) -> tuple[np.ndarray, int]:
@@ -207,7 +164,7 @@ def _preconditioned_cg(
     unscaled ones times that power: no squared norm underflows, as one of
     a right-hand side below 1e-154 did.
     """
-    precondition = _sine_preconditioner(operator, eigenvalues)
+    precondition = operator.sine_preconditioner(float(eigenvalues.min()))
     exponents = np.frexp(np.abs(rhs).max(axis=1))[1]
     scale = np.ldexp(1.0, np.clip(-exponents, -1000, 1000))
     solution = rhs * scale[:, None]
@@ -373,23 +330,22 @@ def evaluate_solution(solution: Solution, x):
     """Reconstruct the solution at arbitrary points.
 
     Inside the window the node values are interpolated linearly (exact at
-    the nodes).  Outside, the solved system's exterior model applies: its
-    Dirichlet data, or its decay profile times the edge value on that side.
-    A system without its exterior data or decay model is an error.
+    the nodes).  Outside, the exterior model of the problem solved applies:
+    its Dirichlet data, or its decay profile times the edge value on that
+    side.
     """
     x_arr = np.asarray(x, dtype=float)
     scalar = x_arr.ndim == 0
     pts = np.atleast_1d(x_arr)
     system = solution.system
+    problem = system.problem
     values = solution.values
     w = system.grid.half_width
     nodes = system.grid.spacing * system.indices
     outside = np.abs(pts) > w
 
     if system.variant == "dirichlet":
-        data = system.exterior_data
-        if data is None:
-            raise ValueError("dirichlet solution needs exterior data for evaluation")
+        data = problem.exterior_data
         xp = np.concatenate([[-w], nodes, [w]])
         edge = np.asarray(data(np.array([-w, w])), dtype=float)
         fp = np.concatenate([[edge[0]], values, [edge[1]]])
@@ -397,13 +353,11 @@ def evaluate_solution(solution: Solution, x):
         if np.any(outside):
             out[outside] = np.asarray(data(pts[outside]), dtype=float)
     else:
-        if system.decay is None:
-            raise ValueError("solution's system lacks a decay model")
         out = np.interp(pts, nodes, values)
         if np.any(outside):
             far = pts[outside]
             side = np.where(far < 0, float(values[0]), float(values[-1]))
-            out[outside] = side * system.decay.profile(far, w)
+            out[outside] = side * problem.decay.profile(far, w)
 
     return float(out[0]) if scalar else out
 
@@ -451,7 +405,7 @@ def stability_report(system: DiscreteSystem) -> StabilityReport:
     estimated absolute error of each quadrature symbol sample; a table that
     does not reach it raises QuadratureError.
     """
-    kernel = system.kernel
+    kernel = system.problem.kernel
     grid = system.grid
     operator = system.operator
 
@@ -476,8 +430,9 @@ def stability_report(system: DiscreteSystem) -> StabilityReport:
         stable = contraction < 1.0
 
     symbol, symbol_error = _symbol_samples(kernel, grid)
-    q = system.decay.exponent if system.decay is not None else math.inf
-    damp = 1.0 if math.isinf(q) else 1.0 - 3.0 ** (-q)
+    damp = 1.0
+    if system.variant != "dirichlet":
+        damp -= 3.0 ** (-system.problem.decay.exponent)
     bound = damp * tail_mass(kernel, 2.0 * grid.weight_radius)
 
     return StabilityReport(

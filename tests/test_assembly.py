@@ -15,6 +15,7 @@ import pytest
 from nldiff.assembly import (
     DecayModel,
     DirichletProblem,
+    DiscreteSystem,
     GrowthCertificate,
     NeumannProblem,
     RealLineProblem,
@@ -160,7 +161,56 @@ class TestDirichletSystem:
         system = assemble(make_sech_problem(laplace_kernel(), sech_boundary), grid)
         assert system.variant == "dirichlet"
         assert system.indices[0] == -31 and system.indices[-1] == 31
-        assert system.exterior_data is not None and system.decay is None
+        assert system.problem.exterior_data is not None
+
+
+def three_problems():
+    """A Dirichlet, a whole-line and a flux-closure problem on one kernel."""
+    kernel = laplace_kernel()
+    return {
+        "dirichlet": make_sech_problem(kernel, sech_boundary),
+        "realline": RealLineProblem(kernel=kernel, forcing=np.cos, decay=DecayModel(2.0)),
+        "neumann": NeumannProblem(
+            kernel=kernel,
+            forcing=np.cos,
+            exterior_forcing=np.sin,
+            split_radius=1.0,
+            decay=DecayModel(2.0),
+        ),
+    }
+
+
+class TestDiscreteSystem:
+    def test_fields_are_the_problem_grid_operator_and_rhs(self):
+        names = [field.name for field in dataclasses.fields(DiscreteSystem)]
+        assert names == ["problem", "grid", "operator", "rhs"]
+
+    def test_frozen(self):
+        system = assemble(three_problems()["realline"], build_grid(5.0, 64))
+        for name in ("problem", "grid", "operator", "rhs", "variant", "indices"):
+            with pytest.raises(AttributeError):
+                setattr(system, name, None)
+
+    @pytest.mark.parametrize("variant", ["dirichlet", "realline", "neumann"])
+    def test_variant_follows_the_problem(self, variant):
+        problem = three_problems()[variant]
+        system = assemble(problem, build_grid(5.0, 64))
+        assert system.variant == variant
+        # the flux closure keeps its own problem, not the whole-line rewrite
+        assert system.problem is problem
+
+    @pytest.mark.parametrize("steps", [4, 6, 64, 400])
+    def test_indices_are_the_assemblers_ranges(self, steps):
+        k = steps // 2
+        want = {
+            "dirichlet": np.arange(-k + 1, k),
+            "realline": np.arange(-k, k + 1),
+            "neumann": np.arange(-k, k + 1),
+        }
+        for variant, problem in three_problems().items():
+            system = assemble(problem, build_grid(5.0, steps))
+            assert system.operator.size == want[variant].size
+            np.testing.assert_array_equal(system.indices, want[variant])
 
 
 def loop_exterior_sums(weights, g_right, g_left, idx):
@@ -323,6 +373,19 @@ class TestRealLineBoundaryTerms:
         kernel_at_radius = float(kernel.evaluate(np.array([grid.weight_radius]))[0])
         assert closed[0] == pytest.approx(kernel_at_radius / 41.0, rel=0.05)
 
+    @pytest.mark.parametrize("exponent", [400.0, 1000.0])
+    @pytest.mark.parametrize("kernel", [laplace_kernel(), mixed_exponential_kernel()])
+    def test_steep_decay_certified_per_node(self, kernel, exponent):
+        # node i's ratio is bounded by (L / (R + x_i))^q, its own bound; one
+        # tolerance from the worst node left the far nodes up to 88% off at
+        # q = 400.  At q = 1000 the far nodes' bounds would underflow; they
+        # run at the 1e-300 tolerance floor instead of being refused
+        grid = build_grid(10.0, 100)
+        decay = DecayModel(exponent)
+        closed, _ = realline_boundary_terms(kernel, grid, decay, method="closed")
+        quad, _ = realline_boundary_terms(kernel, grid, decay, method="quadrature")
+        np.testing.assert_allclose(quad, closed, rtol=1e-9, atol=1e-300)
+
     def test_closed_route_is_a_capability_not_a_name(self):
         # e^{-2|y|} carrying the exponential kernel's name has no closed
         # moment; the exp_int formula is off by four orders of magnitude here
@@ -374,7 +437,7 @@ class TestRealLineSystem:
         assert matrix[5, 0] < -ws.weights[grid.steps + 5]
         np.testing.assert_array_equal(system.rhs, np.cos(grid.spacing * system.indices))
         assert system.variant == "realline"
-        assert system.decay is problem.decay
+        assert system.problem is problem
 
 
 class TestNeumann:
@@ -411,6 +474,7 @@ class TestNeumann:
         np.testing.assert_array_equal(sys_n.operator.dense(), sys_l.operator.dense())
         np.testing.assert_array_equal(sys_n.rhs, sys_l.rhs)
         assert sys_n.variant == "neumann"
+        assert sys_n.problem is neumann
 
     def test_split_radius_must_sit_inside_grid(self):
         problem = NeumannProblem(

@@ -166,6 +166,15 @@ class TestCheck:
         assert captured.out == ""
         assert "no whole-line forcing" in captured.err
 
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tolerance_refused(self, capsys, tol):
+        # an infinite tolerance passed a forcing that fails (exit 0), and nan
+        # exited 3, as if a quadrature had failed
+        code = main(["check", "--problem", "comparison-sech-neumann", "--L", "10", "--tol", tol])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be finite" in captured.err
+
     def test_quad_tol_reports_the_tolerance_used(self, capsys):
         main(["check", "--problem", "realline-algebraic", "--tol", "1e-12"])
         assert float(parse_kv(capsys.readouterr().out)["quad_tol"]) == 1e-13
@@ -287,7 +296,10 @@ class TestFailureExitCodes:
 
         def stripped(problem, grid):
             system = assemble(problem, grid)
-            return dataclasses.replace(system, kernel=system.kernel.without_closed_forms())
+            kernel = system.problem.kernel.without_closed_forms()
+            return dataclasses.replace(
+                system, problem=dataclasses.replace(system.problem, kernel=kernel)
+            )
 
         monkeypatch.setattr(cli, "assemble", stripped)
         monkeypatch.setattr(importlib.import_module("nldiff.quadrature"), "_VERSINE_PANEL_CAP", 64)

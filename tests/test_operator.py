@@ -501,7 +501,7 @@ def registry_generator(problem_id, steps, half_width=10.0):
     kernel's terms, as the stability report builds them."""
     case = registry()[problem_id].build(half_width)
     system = assemble(case.problem, build_grid(half_width, steps))
-    pairs = system.kernel.hat_weight_terms(system.grid.spacing)
+    pairs = system.problem.kernel.hat_weight_terms(system.grid.spacing)
     return system.operator, [(-g, rho) for g, rho in pairs]
 
 

@@ -41,7 +41,6 @@ from nldiff.quadrature import _versine_panels, adaptive_quad
 from nldiff.solve import (
     SolveError,
     _preconditioned_cg,
-    _sine_preconditioner,
     _symbol_samples,
     evaluate_solution,
     solve,
@@ -109,19 +108,20 @@ class TestSolve:
 
     def test_tail_recorded_for_realline(self, line_system):
         solution = solve(line_system)
-        assert solution.system.decay is not None
-        assert solution.system.decay.exponent == 2.0
+        decay = solution.system.problem.decay
+        assert decay.exponent == 2.0
         assert solution.system.variant == "realline"
         # the tail is anchored at the last node value, bit for bit
         w = line_system.grid.half_width
         assert evaluate_solution(solution, 3.0 * w) == (
-            solution.values[-1] * line_system.decay.profile(3.0 * w, w)
+            solution.values[-1] * decay.profile(3.0 * w, w)
         )
 
     def test_no_tail_for_dirichlet(self, sech_system):
-        solution = solve(sech_system)
-        assert solution.system.decay is None
-        assert solution.system.exterior_data is not None
+        system = solve(sech_system).system
+        assert system.variant == "dirichlet"
+        assert isinstance(system.problem, DirichletProblem)
+        assert system.problem.exterior_data is not None
 
     @pytest.mark.parametrize("method", ["structured", "dense"])
     def test_solution_keeps_its_system(self, sech_system, line_system, method):
@@ -160,7 +160,7 @@ class TestStructuredRoute:
         np.linalg.cholesky(block)
         rhs = np.random.default_rng(size).standard_normal((3, size))
         want = rhs @ block.T
-        got = _sine_preconditioner(operator, operator.circulant_eigenvalues())(rhs)
+        got = operator.sine_preconditioner(operator.circulant_eigenvalues().min())(rhs)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_preconditioner_floors_a_negative_sine_eigenvalue(self, sech_system):
@@ -177,7 +177,7 @@ class TestStructuredRoute:
         np.linalg.cholesky(block)
         rhs = np.random.default_rng(size).standard_normal((2, size))
         want = rhs @ block.T
-        got = _sine_preconditioner(operator, eigenvalues)(rhs)
+        got = operator.sine_preconditioner(eigenvalues.min())(rhs)
         # the smallest eigenvalue kept, 5.2e-3 against a largest of 5.0,
         # magnifies the rounding of the symbol about a thousandfold
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -550,17 +550,9 @@ class TestEvaluateSolution:
         # outside the window the evaluation hands back the problem's own
         # exterior data, bit for bit
         np.testing.assert_array_equal(
-            evaluate_solution(solution, pts), solution.system.exterior_data(pts)
+            evaluate_solution(solution, pts), solution.system.problem.exterior_data(pts)
         )
         np.testing.assert_allclose(evaluate_solution(solution, pts), sech(pts), rtol=1e-15)
-
-    def test_dirichlet_needs_exterior_data(self, sech_system):
-        solution = solve(sech_system)
-        bare = dataclasses.replace(
-            solution, system=dataclasses.replace(solution.system, exterior_data=None)
-        )
-        with pytest.raises(ValueError):
-            evaluate_solution(bare, 0.5)
 
     def test_realline_tail_extension(self, line_system):
         solution = solve(line_system)
@@ -583,22 +575,17 @@ class TestEvaluateSolution:
         w = system.grid.half_width
         # inside and outside the window, both tails, the nodes and the edges
         pts = np.concatenate([np.linspace(-4.5 * w, 4.5 * w, 2001), [-w, w]])
-        tail = None
-        if system.decay is not None:
-            tail = (system.decay.exponent, float(solution.values[0]), float(solution.values[-1]))
+        problem = system.problem
+        tail = exterior_data = None
+        if system.variant == "dirichlet":
+            exterior_data = problem.exterior_data
+        else:
+            tail = (problem.decay.exponent, float(solution.values[0]), float(solution.values[-1]))
         want = copied_field_reconstruction(
             system.grid, system.indices, solution.values, system.variant, tail,
-            system.exterior_data, pts,
+            exterior_data, pts,
         )
         np.testing.assert_array_equal(evaluate_solution(solution, pts), want)
-
-    def test_realline_without_tail_rejected(self, line_system):
-        solution = solve(line_system)
-        bare = dataclasses.replace(
-            solution, system=dataclasses.replace(solution.system, decay=None)
-        )
-        with pytest.raises(ValueError):
-            evaluate_solution(bare, 2.0 * line_system.grid.half_width)
 
 
 def copied_field_reconstruction(grid, indices, values, variant, tail, exterior_data, x):
@@ -661,7 +648,7 @@ class TestStability:
     def test_zeroth_sample_is_the_tail_mass(self, sech_system):
         report = stability_report(sech_system)
         radius = sech_system.grid.weight_radius
-        assert report.symbol_values[0] == tail_mass(sech_system.kernel, radius)
+        assert report.symbol_values[0] == tail_mass(sech_system.problem.kernel, radius)
 
     def test_dirichlet_certificate(self):
         case = registry()["dirichlet-sech"].build(5.0)
@@ -732,8 +719,10 @@ class TestStability:
         # the Laplace kernel stripped of its terms takes the quadrature
         # table, which converges at the first comparison, M against 2M
         # panels; the estimate is that gap in symbol units, twice the versine's
-        kernel = sech_system.kernel.without_closed_forms()
-        system = dataclasses.replace(sech_system, kernel=kernel)
+        kernel = sech_system.problem.kernel.without_closed_forms()
+        system = dataclasses.replace(
+            sech_system, problem=dataclasses.replace(sech_system.problem, kernel=kernel)
+        )
         grid = system.grid
         coarse, fine = (
             _versine_panels(kernel.evaluate, grid.weight_radius, grid.steps, panels)
@@ -788,7 +777,9 @@ class TestStability:
         system = assemble(case.problem, build_grid(10.0, 800))
         # stripped of its terms, the kernel takes the quadrature table
         kernel = dataclasses.replace(base.without_closed_forms(), evaluate=counted)
-        stability_report(dataclasses.replace(system, kernel=kernel))
+        stability_report(
+            dataclasses.replace(system, problem=dataclasses.replace(system.problem, kernel=kernel))
+        )
         # the P = M and 2P tables, one call each; one adaptive quadrature per
         # mode took 6e6.  The two tail masses, now by quadrature, add a few
         # hundred points in smaller calls
