@@ -25,10 +25,11 @@ the decay profile, so assembly costs O(n log n) time and O(n) memory.
 The beyond-support integrals take a closed form when the problem or the
 kernel carries one.  Otherwise all of them come from one batched adaptive
 quadrature (`adaptive_quad_many`): one tail integral per node for the real
-line, two per node (left and right tail) for Dirichlet data, each with its
-own decay certificate and a tolerance scaled to that certificate's tail
-(`_beyond_support`).  `dirichlet_boundary_term` is the one-node case of the
-Dirichlet routine that `assemble_dirichlet` runs on every node.
+line, two per node (left and right tail) for Dirichlet data.  A batch has
+one decay certificate with one constant per integral, and each integral a
+tolerance scaled to its own certified tail (`_beyond_support`).
+`dirichlet_boundary_term` is the one-node case of the Dirichlet routine
+that `assemble_dirichlet` runs on every node.
 """
 
 from __future__ import annotations
@@ -152,14 +153,16 @@ def _core_column(weights: WeightSet, size: int) -> np.ndarray:
     return column
 
 
-def _beyond_support(integrand: Callable, radius: float, certs: list) -> np.ndarray:
-    """int_radius^inf integrand(y, i) dy for every i < len(certs), certs[i]
-    bounding integrand i, all of them in one batch."""
+def _beyond_support(
+    integrand: Callable, radius: float, cert: DecayCertificate, count: int
+) -> np.ndarray:
+    """int_radius^inf integrand(y, i) dy for every i < count in one batch,
+    cert bounding integrand i by its constant i (or one constant for all)."""
     # each integral is itself a kernel tail, so its absolute tolerance is
     # scaled to its own certified tail size or the answer drowns in slack
-    tol = np.array([max(1e-12 * cert.tail_bound(radius), 1e-300) for cert in certs])
+    tol = np.maximum(1e-12 * cert.tail_bound(radius), 1e-300)
     return adaptive_quad_many(
-        integrand, np.full(len(certs), radius), math.inf, tol, rel=1e-12, decay=certs
+        integrand, np.full(count, radius), math.inf, tol, rel=1e-12, decay=cert
     ).value
 
 
@@ -177,19 +180,18 @@ def _dirichlet_boundary(problem: DirichletProblem, grid: Grid, x: np.ndarray) ->
         )
     kernel = problem.kernel
     growth = problem.exterior_growth
-    base = DecayCertificate(kernel.decay_rate, kernel.decay_constant * growth.constant)
-    # |g(x -+ y) nu(y)| <= C_g (1 + |x| + |y|)^degree * C_nu e^(-rate |y|)
-    certs = [base.times_power(growth.degree, 1.0 + abs(float(xi))) for xi in x]
     # integrals 0..n-1 take g(x - y) (the right tail), n..2n-1 g(x + y)
     n = x.size
     center = np.concatenate([x, x])
     sign = np.repeat([1.0, -1.0], n)
+    base = DecayCertificate(kernel.decay_rate, kernel.decay_constant * growth.constant)
+    # |g(x -+ y) nu(y)| <= C_g (1 + |x| + |y|)^degree * C_nu e^(-rate |y|)
+    cert = base.times_power(growth.degree, 1.0 + np.abs(center))
     g = problem.exterior_data
     nu = kernel.evaluate
     sides = _beyond_support(
         lambda y, owner: np.asarray(g(center[owner] - sign[owner] * y), dtype=float) * nu(y),
-        radius,
-        certs + certs,
+        radius, cert, 2 * n,
     )
     return sides[:n] + sides[n:]
 
@@ -230,10 +232,10 @@ def realline_boundary_terms(
     # x_i).  An offset is lowered to the cap, whose bound e^-690 stays in the
     # floats: the bound stays true, and the node's tolerance takes the floor
     cap = math.exp(min(690.0 / q, 700.0))
-    base = kernel.decay()
-    certs = [base.times_power(-q, min((radius + x) / edge, cap)) for x in xi.tolist()]
+    cert = kernel.decay().times_power(-q, np.minimum((radius + xi) / edge, cap))
     b1 = _beyond_support(
-        lambda s, owner: (edge / np.abs(xi[owner] + s)) ** q * kernel.evaluate(s), radius, certs
+        lambda s, owner: (edge / np.abs(xi[owner] + s)) ** q * kernel.evaluate(s),
+        radius, cert, xi.size,
     )
     return b1, b1[::-1].copy()
 

@@ -17,7 +17,10 @@ Infinite endpoints are only accepted together with a decay certificate.  The
 certificate turns the improper integral into a finite one plus a rigorously
 bounded remainder; the remainder is charged to the error estimate, never to
 the value.  In a batch every integral has its own truncation point, from its
-own tolerance and certificate.
+own tolerance and certificate constant.  A batch can share one
+`DecayCertificate` whose constant is an array with one entry per integral:
+its methods work entry by entry, so every truncation point and certified
+tail of the batch comes from one numpy pass.
 
 Integrands must be vectorized: they are called with a 1-d float array (and,
 for `adaptive_quad_many`, the owner index of each point) and must return an
@@ -109,51 +112,74 @@ class QuadratureError(RuntimeError):
         self.result = result
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecayCertificate:
-    """Guarantee that |f(y)| <= constant * exp(-rate * |y|).
+    """Guarantee that |f_i(y)| <= constant_i * exp(-rate * |y|).
 
-    The bound must hold from the truncation region outward; rate and
-    constant must both be positive and finite.
+    The bound must hold from the truncation region outward.  rate is one
+    positive finite float, shared by every integral of a batch; constant is
+    one positive finite float, or a read-only array with one for each
+    integral.  The methods take scalars or arrays and work entry by entry.
+    Certificates compare by identity, since arrays do not compare.
     """
 
     rate: float
-    constant: float
+    constant: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if not (0 < self.rate < math.inf and 0 < self.constant < math.inf):
+        constant = self.constant
+        if isinstance(constant, (np.ndarray, list, tuple)):
+            constant = np.array(constant, dtype=float)
+            if constant.ndim != 1:
+                raise ValueError("decay certificate constant must be a float or one-dimensional")
+            constant.flags.writeable = False
+            object.__setattr__(self, "constant", constant)
+            finite = ((0 < constant) & (constant < math.inf)).all()
+        else:
+            finite = 0 < constant < math.inf
+        if not (0 < self.rate < math.inf and finite):
             raise ValueError("decay certificate needs a positive finite rate and constant")
 
-    def tail_bound(self, start: float) -> float:
-        start = max(start, 0.0)
-        return self.constant * math.exp(-self.rate * start) / self.rate
+    def tail_bound(self, start: float | np.ndarray) -> float | np.ndarray:
+        return self.constant * np.exp(-self.rate * np.maximum(start, 0.0)) / self.rate
 
-    def truncation_point(self, budget: float) -> float:
+    def truncation_point(self, budget: float | np.ndarray) -> float | np.ndarray:
         ratio = self.constant / (self.rate * budget)
-        return max(0.0, math.log(max(ratio, 1.0)) / self.rate)
+        return np.log(np.maximum(ratio, 1.0)) / self.rate
 
-    def times_power(self, degree: float, offset: float = 0.0) -> "DecayCertificate":
-        """Certificate for (offset + |y|) ** degree * f(y), with offset >= 0.
+    def times_power(
+        self, degree: float, offset: float | np.ndarray = 0.0
+    ) -> "DecayCertificate":
+        """Certificate for (offset + |y|) ** degree * f(y).
 
-        degree 0 returns the certificate unchanged.  A decreasing factor
-        (degree < 0, offset > 0) is bounded by offset ** degree and keeps the
-        rate; a growing one halves the rate and absorbs
-        max over t >= 0 of (offset + t) ** degree * exp(-rate t / 2) into the
-        constant; raises ValueError when that constant leaves the floats.
+        offset must be finite and >= 0, and > 0 for degree < 0; an array
+        offset gives one constant per entry.  degree 0 returns the
+        certificate unchanged.  A decreasing factor (degree < 0) is bounded
+        by offset ** degree and keeps the rate; a growing one halves the
+        rate and absorbs max over t >= 0 of (offset + t) ** degree *
+        exp(-rate t / 2) into the constant; raises ValueError when that
+        constant leaves the floats.
         """
+        offset = np.asarray(offset, dtype=float)
+        valid = (offset > 0.0 if degree < 0 else offset >= 0.0) & (offset < math.inf)
+        if not valid.all():
+            raise ValueError(
+                "times_power of degree %g needs a finite offset >= 0, and > 0 for a "
+                "negative degree; got offset %r" % (degree, float(offset[~valid][0]))
+            )
         if degree == 0:
             return self
         if degree < 0:
-            return DecayCertificate(self.rate, self.constant * offset ** degree * _SAFETY)
+            return DecayCertificate(self.rate, self.constant * np.power(offset, degree) * _SAFETY)
         rate = self.rate / 2.0
-        peak_at = max(0.0, degree / rate - offset)
+        peak_at = np.maximum(0.0, degree / rate - offset)
         # in logs: the power and the exponential can each leave the floats
         # while their product does not
-        log_peak = degree * math.log(offset + peak_at) - rate * peak_at
-        log_constant = math.log(self.constant) + log_peak
-        if not log_constant < _LOG_MAX:
+        log_peak = degree * np.log(offset + peak_at) - rate * peak_at
+        log_constant = np.log(self.constant) + log_peak
+        if not (log_constant < _LOG_MAX).all():
             raise ValueError("times_power of degree %g leaves the floats" % degree)
-        return DecayCertificate(rate, math.exp(log_constant) * _SAFETY)
+        return DecayCertificate(rate, np.exp(log_constant) * _SAFETY)
 
 
 @dataclass(frozen=True)
@@ -171,13 +197,13 @@ class PowerDecayCertificate:
         if not (1 < self.degree < math.inf and 0 < self.constant < math.inf):
             raise ValueError("power decay certificate needs finite degree > 1 and constant > 0")
 
-    def tail_bound(self, start: float) -> float:
-        start = max(start, 1.0)
-        return self.constant * start ** (1.0 - self.degree) / (self.degree - 1.0)
+    def tail_bound(self, start: float | np.ndarray) -> float | np.ndarray:
+        power = np.power(np.maximum(start, 1.0), 1.0 - self.degree)
+        return self.constant * power / (self.degree - 1.0)
 
-    def truncation_point(self, budget: float) -> float:
+    def truncation_point(self, budget: float | np.ndarray) -> float | np.ndarray:
         ratio = self.constant / ((self.degree - 1.0) * budget)
-        return max(1.0, ratio ** (1.0 / (self.degree - 1.0)))
+        return np.maximum(1.0, np.power(ratio, 1.0 / (self.degree - 1.0)))
 
     def times_power(self, degree: float) -> "PowerDecayCertificate":
         """Certificate for |y| ** degree * f(y); raises ValueError when the
@@ -188,6 +214,9 @@ class PowerDecayCertificate:
 Certificate = Union[DecayCertificate, PowerDecayCertificate]
 
 
+# a truncated side's ladder of first edges, in steps from its anchor: the
+# anchor itself, then 2**t
+_RUNGS = np.concatenate([[0.0], np.ldexp(1.0, np.arange(1024))])
 # integrand points per panel: the 15 point rule, then the 7 point rule
 _NODES = np.concatenate([_T15, _T7])
 _POINTS = _NODES.size
@@ -197,14 +226,16 @@ _POINTS = _NODES.size
 _SLICE_PANELS = 1024
 
 
-def _panel_values(
+def _panel_stats(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     lo: np.ndarray,
     hi: np.ndarray,
     owner: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    fine = np.empty(lo.size)
-    gap = np.empty(lo.size)
+) -> np.ndarray:
+    """Rows per panel: the 15 point value, its gap to the 7 point value,
+    the value's magnitude and 1 (the panel count)."""
+    stats = np.empty((4, lo.size))
+    fine, gap = stats[0], stats[1]
     for start in range(0, lo.size, _SLICE_PANELS):
         part = slice(start, start + _SLICE_PANELS)
         mid = 0.5 * (lo[part] + hi[part])[:, None]
@@ -214,19 +245,22 @@ def _panel_values(
         vals = vals.reshape(pts.shape)
         fine[part] = (vals[:, :15] @ _W15) * rad[:, 0]
         gap[part] = np.abs(fine[part] - (vals[:, 15:] @ _W7) * rad[:, 0])
-    return fine, gap
+    np.abs(fine, out=stats[2])
+    stats[3] = 1.0
+    return stats
 
 
 def _ladder(
     direction: float, lo: np.ndarray, hi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Edges anchor + direction * max(|anchor|, 1) * 2**t strictly inside
-    (lo, hi), as (positions, row index); the ladder climbs from
-    max(lo, 0) (direction 1) or descends from min(hi, 0) (direction -1)."""
+    """Edges anchor + direction * max(|anchor|, 1) * r for r = 0, 1, 2, 4, ..
+    strictly inside (lo, hi), as (positions, row index); the ladder climbs
+    from max(lo, 0) (direction 1) or descends from min(hi, 0) (direction
+    -1), so its anchor is an edge at 0 for an interval across 0."""
     anchor = np.maximum(lo, 0.0) if direction > 0 else np.minimum(hi, 0.0)
     step = np.maximum(np.abs(anchor), 1.0)
-    rungs = int(np.log2(max(float(((hi - lo) / step).max()), 1.0))) + 2
-    edges = anchor[:, None] + direction * (step[:, None] * 2.0 ** np.arange(rungs))
+    rungs = int(np.log2(max(float(((hi - lo) / step).max()), 1.0))) + 3
+    edges = anchor[:, None] + direction * (step[:, None] * _RUNGS[:rungs])
     inside = (lo[:, None] < edges) & (edges < hi[:, None])
     return edges[inside], inside.nonzero()[0]
 
@@ -245,7 +279,8 @@ def _initial_panels(
     outside the integrand's own scale, and a single panel spanning it can
     hide all of the mass between two rule nodes, so the ladder pins the
     first panels to O(1) size and the refinement has something real to
-    bisect.  A truncated integral across 0 also gets an edge at 0.
+    bisect.  A ladder starts at its anchor, so a truncated integral across
+    0 also gets an edge at 0.
     """
     owners = np.arange(lo.size)
     pos, own = [lo, hi], [owners, owners]
@@ -259,8 +294,8 @@ def _initial_panels(
         pos.append(bp[first[bp_owner] + np.arange(bp_owner.size) - starts[bp_owner]])
         own.append(bp_owner)
     for cut, direction in ((upper_cut, 1.0), (lower_cut, -1.0)):
-        if cut.any():
-            rows = cut.nonzero()[0]
+        rows = cut.nonzero()[0]
+        if rows.size:
             edges, row = _ladder(direction, lo[rows], hi[rows])
             pos.append(edges)
             own.append(rows[row])
@@ -269,9 +304,8 @@ def _initial_panels(
         keep = lo < hi
         return lo[keep], hi[keep], owners[keep]
 
-    zero = ((upper_cut | lower_cut) & (lo < 0.0) & (hi > 0.0)).nonzero()[0]
-    pos = np.concatenate(pos + [np.zeros(zero.size)])
-    own = np.concatenate(own + [zero])
+    pos = np.concatenate(pos)
+    own = np.concatenate(own)
     order = np.lexsort((pos, own))
     pos, own = pos[order], own[order]
     fresh = np.ones(pos.size, dtype=bool)
@@ -279,6 +313,14 @@ def _initial_panels(
     pos, own = pos[fresh], own[fresh]
     same = own[1:] == own[:-1]
     return pos[:-1][same], pos[1:][same], own[:-1][same]
+
+
+def _entrywise(certs: Sequence[Certificate | None], method: str) -> Callable:
+    """values -> array of certs[i].method(values[i]); 0 where certs[i] is None."""
+    return lambda values: np.array([
+        0.0 if cert is None else getattr(cert, method)(value)
+        for cert, value in zip(certs, values.tolist())
+    ])
 
 
 def adaptive_quad_many(
@@ -301,9 +343,12 @@ def adaptive_quad_many(
     `adaptive_quad` on its own: its own goal max(tol_i, rel |value_i|,
     64 eps l1_i), its own per-panel share of it, its own truncation point
     and certified tail from its own certificate, its own edge ladder, its
-    own _PANEL_CAP and _MAX_ROUNDS.  ``tol`` and ``decay`` are one value for
-    all integrals or one per integral; ``breakpoints`` are shared and seed
-    edges inside every interval that contains them.  An integral leaves the
+    own _PANEL_CAP and _MAX_ROUNDS.  ``tol`` is one value for all integrals
+    or one per integral, never NaN.  ``decay`` is one certificate, whose
+    constant may be an array of K entries, or a list of K certificates read
+    entry by entry; either way the truncation points and certified tails
+    are computed as arrays.  ``breakpoints`` are shared and seed edges
+    inside every interval that contains them.  An integral leaves the
     worklist once it converges, so each does exactly the evaluations it
     would do alone.
 
@@ -317,8 +362,8 @@ def adaptive_quad_many(
         raise ValueError("adaptive_quad_many needs a one-dimensional array of lower endpoints")
     upper = np.full(lower.shape, upper, dtype=float)
     tol = np.full(lower.shape, tol, dtype=float)
-    if (tol < 0).any() or rel < 0:
-        raise ValueError("tolerances must be nonnegative")
+    if not ((tol >= 0.0).all() and rel >= 0.0):
+        raise ValueError("tolerances must be nonnegative, not NaN")
     if (upper == -math.inf).any():
         raise ValueError("upper endpoint is -inf")
     if (lower == math.inf).any():
@@ -329,28 +374,34 @@ def adaptive_quad_many(
         raise ValueError(
             "need one decay certificate per integral, got %d for %d" % (len(decay), count)
         )
+    constants = getattr(decay, "constant", None)
+    if isinstance(constants, np.ndarray) and constants.size != count:
+        raise ValueError(
+            "need one certificate constant per integral, got %d for %d" % (constants.size, count)
+        )
 
     upper_cut, lower_cut = np.isinf(upper), np.isinf(lower)
-    tail = np.zeros(count)
-    truncations: dict = {}
-    for i in (upper_cut | lower_cut).nonzero()[0]:
-        cert = decay if single else decay[i]
-        if cert is None:
-            raise ValueError("an infinite endpoint requires a decay certificate")
-        budget = (tol[i] if tol[i] > 0.0 else 1e-15) / 10.0
-        key = (cert, budget)
-        if key not in truncations:
-            point = cert.truncation_point(budget)
-            truncations[key] = (point, cert.tail_bound(point))
-        point, bound = truncations[key]
+    cut = upper_cut | lower_cut
+    if not cut.any():
+        tail = np.zeros(count)
+    elif decay is None or not single and any(decay[i] is None for i in cut.nonzero()[0]):
+        raise ValueError("an infinite endpoint requires a decay certificate")
+    else:
+        if single:
+            truncation_point, tail_bound = decay.truncation_point, decay.tail_bound
+        else:
+            # a list is read entry by entry into the same arrays
+            truncation_point = _entrywise(decay, "truncation_point")
+            tail_bound = _entrywise(decay, "tail_bound")
+        point = truncation_point(np.where(tol > 0.0, tol, 1e-15) / 10.0)
         # a truncation point beyond the finite endpoint leaves an empty
         # interval, whose error is the certified tail from that endpoint
-        if upper_cut[i]:
-            upper[i] = max(point, lower[i])
-            tail[i] += bound if upper[i] == point else cert.tail_bound(upper[i])
-        if lower_cut[i]:
-            lower[i] = min(-point, upper[i])
-            tail[i] += bound if lower[i] == -point else cert.tail_bound(-lower[i])
+        np.maximum(point, lower, out=upper, where=upper_cut)
+        np.minimum(-point, upper, out=lower, where=lower_cut)
+        # the tail beyond the moved endpoint, none for an uncut row; a row
+        # cut on both sides has upper = -lower = point and twice the tail
+        sides = np.add(upper_cut, lower_cut, dtype=float)
+        tail = tail_bound(np.where(upper_cut, upper, -lower)) * sides
     if not (lower <= upper).all():
         raise ValueError("lower endpoint must not exceed upper endpoint")
 
@@ -373,10 +424,8 @@ def adaptive_quad_many(
 
     panels = np.bincount(owner, minlength=count)
     for round_ in range(_MAX_ROUNDS + 1):
-        fine, gap = _panel_values(f, lo, hi, owner)
+        stats = _panel_stats(f, lo, hi, owner)
         evaluations += _POINTS * lo.size
-        # per panel: value, gap, l1 norm, count
-        stats = np.stack([fine, gap, np.abs(fine), np.ones(lo.size)])
         total, spread, l1 = frozen[:3] + np.bincount(
             (owner + row_bins[:3]).ravel(), stats[:3].ravel(), 3 * count
         ).reshape(3, count)
@@ -392,7 +441,7 @@ def adaptive_quad_many(
 
         share = goal / (2.0 * (panels + frozen[3] + 1))
         refining = live[owner]
-        settled = refining & (gap <= share[owner])
+        settled = refining & (stats[1] <= share[owner])
         frozen += np.bincount(
             (owner[settled] + row_bins).ravel(), stats[:, settled].ravel(), 4 * count
         ).reshape(4, count)

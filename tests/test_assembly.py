@@ -31,7 +31,7 @@ from nldiff.grids import build_grid, compute_weights
 from nldiff.harness import mixed_boundary, mixed_forcing, sech_boundary, sech_forcing
 from nldiff.kernels import SignClass, build_kernel, laplace_kernel, mixed_exponential_kernel
 from nldiff.expint import exp_int
-from nldiff.quadrature import adaptive_quad
+from nldiff.quadrature import DecayCertificate, adaptive_quad
 
 
 def sech(x):
@@ -532,6 +532,30 @@ class TestCertificates:
         # only at assembly, in the decay certificate built from it
         with pytest.raises(ValueError, match="finite degree >= 0 and constant > 0"):
             GrowthCertificate(degree, constant)
+
+    def test_one_decay_certificate_per_batch(self, monkeypatch):
+        # each route call builds one certificate for its whole batch, with a
+        # constant per integral, and not one per node (399 and 401 at M=400)
+        built = []
+        validate = DecayCertificate.__post_init__
+
+        def counting(cert):
+            built.append(cert)
+            validate(cert)
+
+        monkeypatch.setattr(DecayCertificate, "__post_init__", counting)
+        grid = build_grid(10.0, 400)
+        for kernel in (laplace_kernel(), mixed_exponential_kernel()):
+            built.clear()
+            realline_boundary_terms(kernel, grid, DecayModel(2.0), method="quadrature")
+            assert 1 <= len(built) <= 4
+        problem = make_sech_problem(laplace_kernel(), None)
+        # sech is also bounded by (1 + |x|)^1, which gives every node its
+        # own constant
+        for growth in (problem.exterior_growth, GrowthCertificate(1.0, 1.0)):
+            built.clear()
+            assemble(dataclasses.replace(problem, exterior_growth=growth), grid)
+            assert 1 <= len(built) <= 4
 
     def test_unknown_problem_type(self):
         with pytest.raises(TypeError):

@@ -15,6 +15,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from nldiff.grids import build_grid
+from nldiff.kernels import laplace_kernel
 from nldiff.quadrature import (
     DecayCertificate,
     PowerDecayCertificate,
@@ -244,6 +246,63 @@ def test_times_power_degree_zero_is_identity():
     assert cert.times_power(0.0, 4.0) is cert
 
 
+@pytest.mark.parametrize(
+    "degree, offset",
+    [(2.0, -5.0), (-2.0, 0.0), (-2.5, -1.5), (1.0, math.nan), (1.0, math.inf), (0.0, -1.0)],
+)
+def test_times_power_refuses_a_bad_offset(degree, offset):
+    # (|y| - 5)^2 e^-|y| is 25 at y = 0, where a constant of 0.178 once
+    # claimed to bound it; offset 0 with a negative degree once divided by
+    # zero, and a negative offset with a fractional degree went complex
+    cert = DecayCertificate(1.0, 1.0)
+    with pytest.raises(ValueError, match="got offset %r" % offset):
+        cert.times_power(degree, offset)
+    # one bad entry refuses the whole array
+    with pytest.raises(ValueError, match="got offset %r" % offset):
+        cert.times_power(degree, np.array([1.0, offset, 2.0]))
+
+
+@pytest.mark.parametrize("degree", [-2.0, 0.0, 2.0])
+def test_array_certificate_matches_scalar_certificates(degree):
+    # entry i of every method is, bit for bit, the scalar certificate of entry i
+    constants = np.array([0.3, 1.0, 2.5, 7e5])
+    offsets = np.array([0.25, 1.0, 3.5, 40.0])
+    starts = np.array([-1.0, 0.0, 2.0, 30.0])
+    budgets = np.array([1e-3, 1e-12, 1e-300, 5.0])
+    cert = DecayCertificate(0.7, constants)
+    product = cert.times_power(degree, offsets)
+    for i, constant in enumerate(constants):
+        scalar = DecayCertificate(0.7, constant)
+        alone = scalar.times_power(degree, offsets[i])
+        assert product.rate == alone.rate
+        assert product.constant[i] == alone.constant
+        assert product.tail_bound(starts)[i] == alone.tail_bound(starts[i])
+        assert cert.tail_bound(starts)[i] == scalar.tail_bound(starts[i])
+        assert cert.tail_bound(2.0)[i] == scalar.tail_bound(2.0)
+        assert cert.truncation_point(budgets)[i] == scalar.truncation_point(budgets[i])
+
+
+def test_array_certificate_refuses_a_bad_entry():
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive finite rate and constant"):
+            DecayCertificate(1.0, [1.0, bad, 2.0])
+    with pytest.raises(ValueError, match="one-dimensional"):
+        DecayCertificate(1.0, [[1.0, 2.0]])
+    # the peak of y ** 100 e^(-0.05 y) times 1e30 leaves the floats, times 1 not
+    DecayCertificate(0.1, [1.0]).times_power(100)
+    with pytest.raises(ValueError, match="degree 100 leaves the floats"):
+        DecayCertificate(0.1, [1.0, 1e30]).times_power(100)
+
+
+def test_array_certificate_constant_is_read_only():
+    source = np.array([1.0, 2.0])
+    cert = DecayCertificate(1.0, source)
+    with pytest.raises(ValueError, match="read-only"):
+        cert.constant[0] = 5.0
+    source[0] = 5.0
+    assert cert.constant[0] == 1.0
+
+
 def test_power_certificate_times_power():
     cert = PowerDecayCertificate(degree=4.0, constant=2.0)
     assert cert.times_power(2) == PowerDecayCertificate(degree=2.0, constant=2.0)
@@ -439,8 +498,45 @@ def test_many_empty_interval_and_bad_input():
             lambda y, owner: np.exp(-y), [0.0, 0.0], [1.0, math.inf], 1e-10,
             decay=[DecayCertificate(1.0, 1.0), None],
         )
+    with pytest.raises(ValueError, match="one certificate constant per integral, got 3 for 2"):
+        adaptive_quad_many(
+            lambda y, owner: np.exp(-y), [0.0, 0.0], math.inf, 1e-10,
+            decay=DecayCertificate(1.0, [1.0, 1.0, 1.0]),
+        )
     with pytest.raises(ValueError, match="must not exceed"):
         adaptive_quad_many(lambda y, owner: y, [0.0, 2.0], [1.0, 1.0], 1e-10)
+    # a NaN tolerance once bisected until the panel budget ran out
+    for tol, rel in ((math.nan, 0.0), (1e-10, math.nan), ([1e-10, math.nan], 0.0)):
+        with pytest.raises(ValueError, match="tolerances must be nonnegative, not NaN"):
+            adaptive_quad_many(lambda y, owner: y, [0.0, 0.0], 1.0, tol, rel=rel)
+    with pytest.raises(ValueError, match="not NaN"):
+        adaptive_quad(lambda y: y, 0.0, 1.0, math.nan)
+
+
+@pytest.mark.parametrize("q", [2.0, 400.0])
+def test_many_array_certificate_matches_the_list(q):
+    # the whole-line route's tails at M=64: one certificate with a constant
+    # per node gives what one scalar certificate per node gives
+    kernel = laplace_kernel()
+    grid = build_grid(10.0, 64)
+    xi = grid.spacing * np.arange(-32, 33)
+    radius, edge = grid.weight_radius, grid.half_width
+    offsets = np.minimum((radius + xi) / edge, math.exp(min(690.0 / q, 700.0)))
+    cert = kernel.decay().times_power(-q, offsets)
+    tol = np.maximum(1e-12 * cert.tail_bound(radius), 1e-300)
+
+    def f(s, owner):
+        return (edge / np.abs(xi[owner] + s)) ** q * kernel.evaluate(s)
+
+    lower = np.full(xi.size, radius)
+    batch = adaptive_quad_many(f, lower, math.inf, tol, rel=1e-12, decay=cert)
+    listed = adaptive_quad_many(
+        f, lower, math.inf, tol, rel=1e-12,
+        decay=[kernel.decay().times_power(-q, offset) for offset in offsets],
+    )
+    np.testing.assert_array_equal(batch.value, listed.value)
+    np.testing.assert_array_equal(batch.abs_error_estimate, listed.abs_error_estimate)
+    assert batch.evaluations == listed.evaluations
 
 
 def test_upper_tail_beyond_its_truncation_point_is_empty():
