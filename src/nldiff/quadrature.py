@@ -243,8 +243,12 @@ def _panel_stats(
         pts = mid + rad * _NODES
         vals = np.asarray(f(pts.ravel(), owner[part].repeat(_POINTS)), dtype=float)
         vals = vals.reshape(pts.shape)
-        fine[part] = (vals[:, :15] @ _W15) * rad[:, 0]
-        gap[part] = np.abs(fine[part] - (vals[:, 15:] @ _W7) * rad[:, 0])
+        # einsum sums every row in one fixed order; a BLAS matrix product
+        # rounds a row by its place in the batch, which could flip a
+        # panel's freeze test against its share and so part a batched
+        # integral from the same integral alone
+        fine[part] = np.einsum("pk,k->p", vals[:, :15], _W15) * rad[:, 0]
+        gap[part] = np.abs(fine[part] - np.einsum("pk,k->p", vals[:, 15:], _W7) * rad[:, 0])
     np.abs(fine, out=stats[2])
     stats[3] = 1.0
     return stats
