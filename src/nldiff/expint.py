@@ -119,19 +119,21 @@ def _series(p: float, x: float) -> float:
 
 
 def exp_int(p: float, x):
-    """E_p(x) for p > 0 and x > 0; x may be a scalar or an array.
+    """E_p(x) for finite p > 0 and x > 0; x may be a scalar or an array.
 
     Elements with x > 1 run the continued fraction together; the series
     elements (x <= 1) run one by one.
     """
     p = float(p)
-    if not p > 0.0:
-        raise ValueError("exp_int requires order p > 0, got %r" % (p,))
+    if not 0.0 < p < math.inf:
+        raise ValueError("exp_int requires a finite order p > 0, got %r" % (p,))
     xs = np.asarray(x, dtype=float)
     flat = xs.ravel()
-    bad = ~(flat > 0.0)
+    bad = ~((flat > 0.0) & (flat < math.inf))
     if bad.any():
-        raise ValueError("exp_int requires argument x > 0, got %r" % (float(flat[bad][0]),))
+        raise ValueError(
+            "exp_int requires a finite argument x > 0, got %r" % (float(flat[bad][0]),)
+        )
     out = np.empty(flat.shape)
     far = flat > 1.0
     out[far] = _continued_fraction(p, flat[far])

@@ -480,7 +480,7 @@ def compatibility_check(
         [-math.inf, -math.inf],
         math.inf,
         quad_tol,
-        decay=[decay_certificate, decay_certificate.times_power(1)],
+        decay=decay_certificate.times_power(np.array([0.0, 1.0])),
     ).value
     return CompatibilityResult(
         mean=float(moments[0]), first_moment=float(moments[1]), tol=tol, quad_tol=quad_tol

@@ -187,6 +187,8 @@ def build_kernel(
     """
     if not 0 < decay_rate < math.inf:
         raise ValueError("decay_rate must be positive and finite, got %r" % decay_rate)
+    if decay_constant is not None and not 0 < decay_constant < math.inf:
+        raise ValueError("decay_constant must be positive and finite, got %r" % decay_constant)
     probe = np.linspace(1e-9, _PROBE_END / decay_rate, 4001)
     with np.errstate(over="ignore"):
         values = np.abs(np.asarray(evaluate(probe), dtype=float))
@@ -318,8 +320,8 @@ def moment_f(kernel: Kernel, h: float, index: int) -> float:
     """
     if index not in (1, 2, 3, 4):
         raise ValueError("moment index must be 1, 2, 3 or 4")
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not 0 < h < math.inf:
+        raise ValueError("h must be positive and finite, got %r" % h)
     if index == 2:
         # keep the h**4 scaling bit exact no matter which route computes it
         return h ** 4 * moment_f(kernel, h, 1)
@@ -344,8 +346,8 @@ def moment_f(kernel: Kernel, h: float, index: int) -> float:
 
 def tail_mass(kernel: Kernel, support_radius: float) -> float:
     """Signed kernel mass outside [-support_radius, support_radius]."""
-    if support_radius < 0:
-        raise ValueError("support radius must be nonnegative")
+    if not 0 <= support_radius < math.inf:
+        raise ValueError("support_radius must be finite and nonnegative, got %r" % support_radius)
     if kernel.terms is not None:
         return _exp_sum(kernel._closed()[2], support_radius, math.exp)
     return 2.0 * _tail_integral(kernel, kernel.evaluate, support_radius)
@@ -376,14 +378,15 @@ def validate_kernel(kernel: Kernel) -> KernelValidationReport:
     the report rather than raised, so callers can present them.
     """
     cert = kernel.decay()
-    # the moments of orders 0, 1, 2 and 4 in one batch, one certificate each
+    # the moments of orders 0, 1, 2 and 4 in one batch, under one certificate
+    # whose entry i bounds y ** powers[i] nu(y)
     powers = np.array([0.0, 1.0, 2.0, 4.0])
     mass, first, second, fourth = adaptive_quad_many(
         lambda y, owner: y ** powers[owner] * kernel.evaluate(y),
         np.full(powers.size, -math.inf),
         math.inf,
         min(_VALIDATION_TOL * 1e-2, 1e-10),
-        decay=[cert.times_power(p) for p in powers],
+        decay=cert.times_power(powers),
         breakpoints=kernel.sign_changes,
     ).value.tolist()
 

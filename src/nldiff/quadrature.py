@@ -16,11 +16,9 @@ practice.
 Infinite endpoints are only accepted together with a decay certificate.  The
 certificate turns the improper integral into a finite one plus a rigorously
 bounded remainder; the remainder is charged to the error estimate, never to
-the value.  In a batch every integral has its own truncation point, from its
-own tolerance and certificate constant.  A batch can share one
-`DecayCertificate` whose constant is an array with one entry per integral:
-its methods work entry by entry, so every truncation point and certified
-tail of the batch comes from one numpy pass.
+the value.  A batch takes one certificate whose fields are floats or arrays
+with one entry per integral, so every integral's truncation point and
+certified tail, from its own tolerance and entry, come from one numpy pass.
 
 Integrands must be vectorized: they are called with a 1-d float array (and,
 for `adaptive_quad_many`, the owner index of each point) and must return an
@@ -112,33 +110,50 @@ class QuadratureError(RuntimeError):
         self.result = result
 
 
+def _store_fields(cert, need: str, **floors: float) -> None:
+    """Store cert's array fields as read-only float copies; ValueError(need)
+    unless every entry of every field lies in (floor, inf)."""
+    for name, floor in floors.items():
+        value = getattr(cert, name)
+        if isinstance(value, (np.ndarray, list, tuple)):
+            value = np.array(value, dtype=float)
+            if value.ndim != 1:
+                raise ValueError("certificate %s must be a float or one-dimensional" % name)
+            value.flags.writeable = False
+            object.__setattr__(cert, name, value)
+            if not ((floor < value) & (value < math.inf)).all():
+                raise ValueError(need)
+        elif not floor < value < math.inf:
+            raise ValueError(need)
+
+
+def _power(base: float | np.ndarray, exponent: float | np.ndarray) -> float | np.ndarray:
+    """np.power as each entry's own scalar exponent rounds it: numpy squares,
+    roots or inverts for one scalar exponent of 2, 0.5 or -1, not for an array."""
+    if not isinstance(exponent, np.ndarray) or exponent.ndim == 0:
+        return np.power(base, exponent)
+    out = np.empty(np.broadcast(base, exponent).shape)
+    for value in set(exponent.tolist()):
+        np.power(base, value, out=out, where=exponent == value)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class DecayCertificate:
-    """Guarantee that |f_i(y)| <= constant_i * exp(-rate * |y|).
+    """Guarantee that |f_i(y)| <= constant_i * exp(-rate_i * |y|).
 
-    The bound must hold from the truncation region outward.  rate is one
-    positive finite float, shared by every integral of a batch; constant is
-    one positive finite float, or a read-only array with one for each
-    integral.  The methods take scalars or arrays and work entry by entry.
-    Certificates compare by identity, since arrays do not compare.
+    The bound must hold from the truncation region outward.  rate and
+    constant are each a positive finite float, or a read-only array with one
+    for each integral of a batch; the methods work entry by entry on scalars
+    or arrays.  Certificates compare by identity, since arrays do not.
     """
 
-    rate: float
+    rate: float | np.ndarray
     constant: float | np.ndarray
 
     def __post_init__(self) -> None:
-        constant = self.constant
-        if isinstance(constant, (np.ndarray, list, tuple)):
-            constant = np.array(constant, dtype=float)
-            if constant.ndim != 1:
-                raise ValueError("decay certificate constant must be a float or one-dimensional")
-            constant.flags.writeable = False
-            object.__setattr__(self, "constant", constant)
-            finite = ((0 < constant) & (constant < math.inf)).all()
-        else:
-            finite = 0 < constant < math.inf
-        if not (0 < self.rate < math.inf and finite):
-            raise ValueError("decay certificate needs a positive finite rate and constant")
+        need = "decay certificate needs a positive finite rate and constant"
+        _store_fields(self, need, rate=0.0, constant=0.0)
 
     def tail_bound(self, start: float | np.ndarray) -> float | np.ndarray:
         return self.constant * np.exp(-self.rate * np.maximum(start, 0.0)) / self.rate
@@ -148,67 +163,76 @@ class DecayCertificate:
         return np.log(np.maximum(ratio, 1.0)) / self.rate
 
     def times_power(
-        self, degree: float, offset: float | np.ndarray = 0.0
+        self, degree: float | np.ndarray, offset: float | np.ndarray = 0.0
     ) -> "DecayCertificate":
         """Certificate for (offset + |y|) ** degree * f(y).
 
-        offset must be finite and >= 0, and > 0 for degree < 0; an array
-        offset gives one constant per entry.  degree 0 returns the
-        certificate unchanged.  A decreasing factor (degree < 0) is bounded
-        by offset ** degree and keeps the rate; a growing one halves the
-        rate and absorbs max over t >= 0 of (offset + t) ** degree *
-        exp(-rate t / 2) into the constant; raises ValueError when that
-        constant leaves the floats.
+        degree and offset are floats or arrays with one entry per integral,
+        and entry i is bit for bit the certificate of degree[i] and offset[i]
+        alone.  offset must be finite and >= 0, and > 0 where degree < 0.  A
+        zero degree keeps the rate and constant (all zero return self), a
+        negative one keeps the rate and multiplies by offset ** degree, and a
+        positive one halves the rate and absorbs max over t >= 0 of (offset +
+        t) ** degree * exp(-rate t / 2), or raises ValueError beyond the floats.
         """
-        offset = np.asarray(offset, dtype=float)
-        valid = (offset > 0.0 if degree < 0 else offset >= 0.0) & (offset < math.inf)
+        degree, offset = np.asarray(degree, dtype=float), np.asarray(offset, dtype=float)
+        valid = np.where(degree < 0, offset > 0.0, offset >= 0.0) & (offset < math.inf)
         if not valid.all():
+            bad = [np.broadcast_to(a, valid.shape)[~valid][0] for a in (degree, offset)]
             raise ValueError(
                 "times_power of degree %g needs a finite offset >= 0, and > 0 for a "
-                "negative degree; got offset %r" % (degree, float(offset[~valid][0]))
+                "negative degree; got offset %r" % (bad[0], float(bad[1]))
             )
-        if degree == 0:
+        if not degree.any():
             return self
-        if degree < 0:
-            return DecayCertificate(self.rate, self.constant * np.power(offset, degree) * _SAFETY)
-        rate = self.rate / 2.0
-        peak_at = np.maximum(0.0, degree / rate - offset)
-        # in logs: the power and the exponential can each leave the floats
-        # while their product does not
-        log_peak = degree * np.log(offset + peak_at) - rate * peak_at
-        log_constant = np.log(self.constant) + log_peak
-        if not (log_constant < _LOG_MAX).all():
-            raise ValueError("times_power of degree %g leaves the floats" % degree)
-        return DecayCertificate(rate, np.exp(log_constant) * _SAFETY)
+        up, down = degree > 0, degree < 0
+        rate = np.where(up, self.rate / 2.0, self.rate)
+        constant = self.constant
+        if down.any():
+            shrunk = constant * _power(offset, np.minimum(degree, 0.0)) * _SAFETY
+            constant = np.where(down, shrunk, constant)
+        if up.any():
+            # the peak in logs: the power and the exponential can each leave
+            # the floats while their product does not; log 1 stands in for
+            # the entries that do not grow, whose peak sits at 0
+            peak_at = np.maximum(0.0, degree / rate - offset)
+            log_peak = degree * np.log(np.where(up, offset + peak_at, 1.0)) - rate * peak_at
+            log_constant = np.where(up, np.log(self.constant) + log_peak, 0.0)
+            over = ~(log_constant < _LOG_MAX)
+            if over.any():
+                bad = np.broadcast_to(degree, over.shape)[over][0]
+                raise ValueError("times_power of degree %g leaves the floats" % bad)
+            constant = np.where(up, np.exp(log_constant) * _SAFETY, constant)
+        return DecayCertificate(rate[()], constant[()])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowerDecayCertificate:
-    """Guarantee that |f(y)| <= constant * |y| ** -degree for |y| >= 1.
+    """Guarantee that |f_i(y)| <= constant_i * |y| ** -degree_i for |y| >= 1.
 
-    degree must exceed 1 so the tail is integrable; degree and constant
-    must be finite.
+    degree and constant are each a finite float, or a read-only array with
+    one for each integral of a batch; every degree must exceed 1 so the tail
+    is integrable.  Certificates compare by identity, as DecayCertificate.
     """
 
-    degree: float
-    constant: float
+    degree: float | np.ndarray
+    constant: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if not (1 < self.degree < math.inf and 0 < self.constant < math.inf):
-            raise ValueError("power decay certificate needs finite degree > 1 and constant > 0")
+        need = "power decay certificate needs finite degree > 1 and constant > 0"
+        _store_fields(self, need, degree=1.0, constant=0.0)
 
     def tail_bound(self, start: float | np.ndarray) -> float | np.ndarray:
-        power = np.power(np.maximum(start, 1.0), 1.0 - self.degree)
+        power = _power(np.maximum(start, 1.0), 1.0 - self.degree)
         return self.constant * power / (self.degree - 1.0)
 
     def truncation_point(self, budget: float | np.ndarray) -> float | np.ndarray:
         ratio = self.constant / ((self.degree - 1.0) * budget)
-        return np.maximum(1.0, np.power(ratio, 1.0 / (self.degree - 1.0)))
+        return np.maximum(1.0, _power(ratio, 1.0 / (self.degree - 1.0)))
 
-    def times_power(self, degree: float) -> "PowerDecayCertificate":
-        """Certificate for |y| ** degree * f(y); raises ValueError when the
-        product's tail is no longer integrable (remaining degree <= 1)."""
-        return PowerDecayCertificate(self.degree - degree, self.constant)
+    def times_power(self, degree: float | np.ndarray) -> "PowerDecayCertificate":
+        """Certificate for |y| ** degree * f(y); ValueError once a degree left is <= 1."""
+        return PowerDecayCertificate(self.degree - np.asarray(degree, dtype=float), self.constant)
 
 
 Certificate = Union[DecayCertificate, PowerDecayCertificate]
@@ -319,14 +343,6 @@ def _initial_panels(
     return pos[:-1][same], pos[1:][same], own[:-1][same]
 
 
-def _entrywise(certs: Sequence[Certificate | None], method: str) -> Callable:
-    """values -> array of certs[i].method(values[i]); 0 where certs[i] is None."""
-    return lambda values: np.array([
-        0.0 if cert is None else getattr(cert, method)(value)
-        for cert, value in zip(certs, values.tolist())
-    ])
-
-
 def adaptive_quad_many(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     lower: Sequence[float] | np.ndarray,
@@ -334,27 +350,21 @@ def adaptive_quad_many(
     tol: float | Sequence[float] | np.ndarray,
     *,
     rel: float = 0.0,
-    decay: Certificate | Sequence[Certificate | None] | None = None,
+    decay: Certificate | None = None,
     breakpoints: Sequence[float] = (),
 ) -> QuadratureResult:
     """Integrate ``f`` over K intervals [lower_i, upper_i] from one worklist.
 
-    The panels of all integrals share one worklist, each tagged with the
-    index of its integral.  Each round evaluates the 22 rule points of every
-    active panel by calls ``f(y, owner)``, one per slice of at most
-    _SLICE_PANELS panels, ``owner[p]`` being the integral that point
-    ``y[p]`` belongs to.  Every integral follows the rules of
-    `adaptive_quad` on its own: its own goal max(tol_i, rel |value_i|,
-    64 eps l1_i), its own per-panel share of it, its own truncation point
-    and certified tail from its own certificate, its own edge ladder, its
-    own _PANEL_CAP and _MAX_ROUNDS.  ``tol`` is one value for all integrals
-    or one per integral, never NaN.  ``decay`` is one certificate, whose
-    constant may be an array of K entries, or a list of K certificates read
-    entry by entry; either way the truncation points and certified tails
-    are computed as arrays.  ``breakpoints`` are shared and seed edges
-    inside every interval that contains them.  An integral leaves the
-    worklist once it converges, so each does exactly the evaluations it
-    would do alone.
+    Each round evaluates the 22 rule points of every active panel by calls
+    ``f(y, owner)``, one per slice of at most _SLICE_PANELS panels,
+    ``owner[p]`` being the integral that point ``y[p]`` belongs to.  Every
+    integral follows the rules of `adaptive_quad` on its own: its own goal
+    max(tol_i, rel |value_i|, 64 eps l1_i), its own per-panel share of it,
+    its own truncation point and certified tail from its certificate entry,
+    its own edge ladder, its own _PANEL_CAP and _MAX_ROUNDS.  ``tol`` is one
+    value for all integrals or one per integral, never NaN.  ``decay`` is
+    None or one certificate, each field a float or an array of K entries.
+    ``breakpoints`` seed edges inside every interval that contains them.
 
     Returns value and abs_error_estimate as arrays of K entries and the
     total evaluation count.  Raises QuadratureError once any integral runs
@@ -373,31 +383,20 @@ def adaptive_quad_many(
     if (lower == math.inf).any():
         raise ValueError("lower endpoint is +inf")
     count = lower.size
-    single = decay is None or hasattr(decay, "truncation_point")
-    if not single and len(decay) != count:
-        raise ValueError(
-            "need one decay certificate per integral, got %d for %d" % (len(decay), count)
-        )
-    constants = getattr(decay, "constant", None)
-    if isinstance(constants, np.ndarray) and constants.size != count:
-        raise ValueError(
-            "need one certificate constant per integral, got %d for %d" % (constants.size, count)
-        )
+    if not (decay is None or isinstance(decay, (DecayCertificate, PowerDecayCertificate))):
+        raise ValueError("decay takes one certificate per batch, not a %s" % type(decay).__name__)
+    for name, field in (vars(decay) if decay else {}).items():
+        if isinstance(field, np.ndarray) and field.size != count:
+            raise ValueError(
+                "need one certificate %s per integral, got %d for %d" % (name, field.size, count)
+            )
 
     upper_cut, lower_cut = np.isinf(upper), np.isinf(lower)
-    cut = upper_cut | lower_cut
-    if not cut.any():
-        tail = np.zeros(count)
-    elif decay is None or not single and any(decay[i] is None for i in cut.nonzero()[0]):
-        raise ValueError("an infinite endpoint requires a decay certificate")
-    else:
-        if single:
-            truncation_point, tail_bound = decay.truncation_point, decay.tail_bound
-        else:
-            # a list is read entry by entry into the same arrays
-            truncation_point = _entrywise(decay, "truncation_point")
-            tail_bound = _entrywise(decay, "tail_bound")
-        point = truncation_point(np.where(tol > 0.0, tol, 1e-15) / 10.0)
+    tail = np.zeros(count)
+    if (upper_cut | lower_cut).any():
+        if decay is None:
+            raise ValueError("an infinite endpoint requires a decay certificate")
+        point = decay.truncation_point(np.where(tol > 0.0, tol, 1e-15) / 10.0)
         # a truncation point beyond the finite endpoint leaves an empty
         # interval, whose error is the certified tail from that endpoint
         np.maximum(point, lower, out=upper, where=upper_cut)
@@ -405,7 +404,7 @@ def adaptive_quad_many(
         # the tail beyond the moved endpoint, none for an uncut row; a row
         # cut on both sides has upper = -lower = point and twice the tail
         sides = np.add(upper_cut, lower_cut, dtype=float)
-        tail = tail_bound(np.where(upper_cut, upper, -lower)) * sides
+        tail = decay.tail_bound(np.where(upper_cut, upper, -lower)) * sides
     if not (lower <= upper).all():
         raise ValueError("lower endpoint must not exceed upper endpoint")
 

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import importlib
+import pathlib
 
 import numpy as np
 import pytest
@@ -25,12 +26,15 @@ def pytest_runtest_makereport(item, call):
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if not _ACCEPTANCE:
-        return
-    terminalreporter.section("acceptance criteria")
-    for num in sorted(_ACCEPTANCE):
-        title, state = _ACCEPTANCE[num]
-        terminalreporter.write_line("criterion %d: %s  (%s)" % (num, state, title))
+    if _ACCEPTANCE:
+        terminalreporter.section("acceptance criteria")
+        for num in sorted(_ACCEPTANCE):
+            title, state = _ACCEPTANCE[num]
+            terminalreporter.write_line("criterion %d: %s  (%s)" % (num, state, title))
+    # the package's size, counted as `wc -l src/nldiff/*.py` counts it
+    package = pathlib.Path(__file__).resolve().parent.parent / "src" / "nldiff"
+    lines = sum(path.read_bytes().count(b"\n") for path in package.glob("*.py"))
+    terminalreporter.write_line("src/ lines: %d" % lines)
 
 
 @pytest.fixture

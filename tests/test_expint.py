@@ -101,6 +101,13 @@ def test_domain_errors():
         exp_int(0.0, 1.0)
     with pytest.raises(ValueError):
         exp_int(-1.5, 1.0)
+    # a non-finite order or argument once stalled the continued fraction
+    # (RuntimeError) or overflowed the series
+    for p, x in ((math.inf, 2.0), (math.inf, 0.5), (math.nan, 2.0), (2.0, math.inf)):
+        with pytest.raises(ValueError, match="requires a finite"):
+            exp_int(p, x)
+    with pytest.raises(ValueError, match="finite argument x > 0, got nan"):
+        exp_int(2.0, np.array([0.5, 3.0, math.nan]))
 
 
 def test_array_argument():

@@ -35,7 +35,12 @@ from nldiff.harness import (
     validate_closed_tail_mass,
 )
 from nldiff.kernels import laplace_kernel
-from nldiff.quadrature import DecayCertificate, PowerDecayCertificate
+from nldiff.quadrature import (
+    DecayCertificate,
+    PowerDecayCertificate,
+    adaptive_quad,
+    adaptive_quad_many,
+)
 
 ALGEBRAIC_CERT = PowerDecayCertificate(4.0, 3.5)
 
@@ -244,6 +249,35 @@ class TestCompatibility:
         result = compatibility_check(f, DecayCertificate(1.0, 1.0))
         assert not result.passed
         assert result.first_moment == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "forcing, cert",
+        [(sech_forcing, DecayCertificate(0.9, 5.0)), (algebraic_forcing, ALGEBRAIC_CERT)],
+    )
+    def test_moment_batch_matches_one_moment_at_a_time(self, forcing, cert, monkeypatch):
+        # the mean and first moment run in one batch under
+        # cert.times_power([0, 1]); each is, bit for bit, its own integral
+        # under cert.times_power(p)
+        batches = []
+
+        def recording(*args, **kwargs):
+            batches.append(adaptive_quad_many(*args, **kwargs))
+            return batches[-1]
+
+        monkeypatch.setattr(harness, "adaptive_quad_many", recording)
+        result = compatibility_check(forcing, cert)
+        (batch,) = batches
+        alone = [
+            adaptive_quad(
+                lambda y, p=p: (y if p else 1.0) * forcing(y), -math.inf, math.inf,
+                result.quad_tol, decay=cert.times_power(p),
+            )
+            for p in (0.0, 1.0)
+        ]
+        want = [r.value for r in alone]
+        assert [result.mean, result.first_moment] == batch.value.tolist() == want
+        assert batch.abs_error_estimate.tolist() == [r.abs_error_estimate for r in alone]
+        assert batch.evaluations == sum(r.evaluations for r in alone)
 
     def test_unknown_certificate_type(self):
         with pytest.raises(TypeError):

@@ -28,7 +28,8 @@ from nldiff.kernels import (
     tail_mass,
     validate_kernel,
 )
-from nldiff.quadrature import adaptive_quad
+from nldiff import kernels
+from nldiff.quadrature import adaptive_quad, adaptive_quad_many
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +185,38 @@ class TestValidator:
                 assert value == pytest.approx(want, rel=1e-10)
             assert abs(report.first_moment) <= 1e-10
 
+    @pytest.mark.parametrize("name", ["laplace", "mixed"])
+    def test_moment_batch_matches_one_moment_at_a_time(self, name, laplace, mixed, monkeypatch):
+        # the four moments run in one batch under cert.times_power(powers);
+        # each is, bit for bit, its own integral under cert.times_power(p)
+        kernel = laplace if name == "laplace" else mixed
+        batches = []
+
+        def recording(*args, **kwargs):
+            batches.append(adaptive_quad_many(*args, **kwargs))
+            return batches[-1]
+
+        monkeypatch.setattr(kernels, "adaptive_quad_many", recording)
+        report = validate_kernel(kernel)
+        (batch,) = batches
+        cert = kernel.decay()
+        alone = [
+            adaptive_quad(
+                # an array exponent, as in the batch: numpy squares y ** 2.0
+                # by another rounding
+                lambda y, p=p: y ** np.full(y.shape, p) * kernel.evaluate(y),
+                -math.inf, math.inf, 1e-10,
+                decay=cert.times_power(p), breakpoints=kernel.sign_changes,
+            )
+            for p in (0.0, 1.0, 2.0, 4.0)
+        ]
+        want = [r.value for r in alone]
+        assert [report.mass, report.first_moment, report.second_moment,
+                report.fourth_moment] == want
+        assert batch.value.tolist() == want
+        assert batch.abs_error_estimate.tolist() == [r.abs_error_estimate for r in alone]
+        assert batch.evaluations == sum(r.evaluations for r in alone)
+
     def test_doubled_mass_fails(self):
         bad = build_kernel(
             lambda y: np.exp(-np.abs(y)),
@@ -250,6 +283,23 @@ def test_build_kernel_refuses_a_non_finite_or_nonpositive_rate_before_probing(ra
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="decay_rate must be positive and finite"):
             build_kernel(evaluate, decay_rate=rate, sign_class=SignClass.NONNEGATIVE)
+    assert calls == []
+
+
+@pytest.mark.parametrize("constant", [math.inf, math.nan, 0.0, -1.0])
+def test_build_kernel_refuses_a_non_finite_or_nonpositive_constant_before_probing(constant):
+    # an infinite constant was once accepted, and validate_kernel and the
+    # quadrature route of tail_mass then refused the kernel's certificate
+    calls = []
+
+    def evaluate(y):
+        calls.append(y)
+        return 0.5 * np.exp(-np.abs(y))
+
+    with pytest.raises(ValueError, match="decay_constant must be positive and finite"):
+        build_kernel(
+            evaluate, decay_rate=1.0, decay_constant=constant, sign_class=SignClass.NONNEGATIVE
+        )
     assert calls == []
 
 
@@ -341,6 +391,19 @@ def test_without_closed_forms_same_values(mixed):
         a = moment_f(mixed, 0.2, index)
         b = moment_f(stripped, 0.2, index)
         assert abs(a - b) <= 1e-10 * max(abs(a), 1e-300)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("route", ["closed", "quadrature"])
+def test_tail_mass_and_moments_refuse_a_non_finite_argument(value, route, laplace):
+    # the closed route once returned nan or 0.0 for these, and the
+    # quadrature route refused them with a misleading message
+    kernel = laplace if route == "closed" else laplace.without_closed_forms()
+    with pytest.raises(ValueError, match="support_radius must be finite and nonnegative"):
+        tail_mass(kernel, value)
+    for index in (1, 2, 3, 4):
+        with pytest.raises(ValueError, match="h must be positive and finite"):
+            moment_f(kernel, value, index)
 
 
 @settings(max_examples=20, deadline=None)

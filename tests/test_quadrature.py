@@ -286,6 +286,13 @@ def test_array_certificate_refuses_a_bad_entry():
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="positive finite rate and constant"):
             DecayCertificate(1.0, [1.0, bad, 2.0])
+        with pytest.raises(ValueError, match="positive finite rate and constant"):
+            DecayCertificate([1.0, bad, 2.0], 1.0)
+        with pytest.raises(ValueError, match="finite degree > 1 and constant > 0"):
+            PowerDecayCertificate(2.0, [1.0, bad])
+    for bad in (1.0, 0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite degree > 1 and constant > 0"):
+            PowerDecayCertificate([2.0, bad], 1.0)
     with pytest.raises(ValueError, match="one-dimensional"):
         DecayCertificate(1.0, [[1.0, 2.0]])
     # the peak of y ** 100 e^(-0.05 y) times 1e30 leaves the floats, times 1 not
@@ -301,11 +308,67 @@ def test_array_certificate_constant_is_read_only():
         cert.constant[0] = 5.0
     source[0] = 5.0
     assert cert.constant[0] == 1.0
+    # every array field of both classes is a read-only copy
+    for cert, name in (
+        (DecayCertificate(source, 1.0), "rate"),
+        (PowerDecayCertificate(source + 1.0, 1.0), "degree"),
+        (PowerDecayCertificate(2.0, source), "constant"),
+    ):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(cert, name)[0] = 7.0
+    source[0] = 9.0
+    assert cert.constant[0] == 5.0
+
+
+@pytest.mark.parametrize("rate", [0.7, np.array([0.7, 0.2, 1.5, 0.7, 3.0, 0.7])])
+def test_times_power_of_a_degree_array_matches_each_degree(rate):
+    # entry i is, bit for bit, the certificate degree[i] gives alone; -1 is
+    # one of the exponents numpy rounds otherwise as one scalar
+    degrees = np.array([-1.0, -2.5, 0.0, 1.0, 2.0, 4.0])
+    offsets = np.array([0.55, 3.0, 0.0, 1.0, 2.5, 0.0])
+    constants = np.array([0.3, 1.0, 2.5, 7e5, 4.0, 1.0])
+    rates = np.broadcast_to(rate, degrees.shape)
+    cert = DecayCertificate(rate, constants)
+    product = cert.times_power(degrees, offsets)
+    for i, degree in enumerate(degrees):
+        alone = DecayCertificate(rates[i], constants[i]).times_power(degree, offsets[i])
+        assert product.rate[i] == alone.rate
+        assert product.constant[i] == alone.constant
+    # a zero degree keeps the entry's rate and constant
+    assert (product.rate[2], product.constant[2]) == (rates[2], constants[2])
+    # and a negative one scales it by offset ** degree as numpy rounds a
+    # scalar exponent, in an array of degrees too
+    assert product.constant[0] == 0.3 * np.power(0.55, -1.0) * 1.0000001
+    assert cert.times_power(np.zeros(6), offsets) is cert
+    # the refusal names the degree whose constant leaves the floats
+    with pytest.raises(ValueError, match="degree 200 leaves the floats"):
+        DecayCertificate(1e-3, 1.0).times_power(np.array([1.0, 200.0]))
+
+
+def test_power_certificate_arrays_match_scalars():
+    # degree 3 takes the exponent 1/2 in truncation_point, degree 2 the
+    # exponent -1 in tail_bound and degree 1.5 the exponent 2: numpy
+    # rounds each otherwise when it is one scalar exponent, and does so at
+    # the bases 4.75, 2.2 and 0.1 here
+    degrees = np.array([4.0, 3.0, 2.0, 1.5, 2.5])
+    constants = np.array([3.5, 9.5, 1.0, 0.2, 9.0])
+    starts = np.array([0.5, 2.0, 2.2, 30.0, 1e3])
+    budgets = np.array([1e-11, 1.0, 1e-300, 4.0, 3e-9])
+    cert = PowerDecayCertificate(4.0, constants).times_power(4.0 - degrees)
+    np.testing.assert_array_equal(cert.degree, degrees)
+    for i, degree in enumerate(degrees):
+        alone = PowerDecayCertificate(degree, constants[i])
+        assert cert.tail_bound(starts)[i] == alone.tail_bound(starts[i])
+        assert cert.tail_bound(2.0)[i] == alone.tail_bound(2.0)
+        assert cert.truncation_point(budgets)[i] == alone.truncation_point(budgets[i])
+    with pytest.raises(ValueError, match="finite degree > 1"):
+        PowerDecayCertificate(4.0, 1.0).times_power(np.array([0.0, 3.0]))
 
 
 def test_power_certificate_times_power():
     cert = PowerDecayCertificate(degree=4.0, constant=2.0)
-    assert cert.times_power(2) == PowerDecayCertificate(degree=2.0, constant=2.0)
+    product = cert.times_power(2)
+    assert (product.degree, product.constant) == (2.0, 2.0)
     for degree in (3.0, 3.5):
         with pytest.raises(ValueError):
             cert.times_power(degree)
@@ -400,24 +463,25 @@ _INTERVAL = st.tuples(
 )
 def test_many_matches_one_at_a_time(intervals, rel, breakpoints):
     # integrand i: e^(-rate_i |y - shift_i|) (1 + 0.3 cos 3y), bounded by
-    # 1.3 e^(rate_i |shift_i|) e^(-rate_i |y|), with its own certificate
-    lower, upper, tols, certs, rates, shifts = [], [], [], [], [], []
+    # 1.3 e^(rate_i |shift_i|) e^(-rate_i |y|): entry i of one certificate
+    lower, upper, tols, rates, shifts = [], [], [], [], []
     for kind, start, width, rate, shift, log_tol in intervals:
         lower.append(-math.inf if kind in ("lower", "both") else start)
         upper.append(
             math.inf if kind in ("upper", "both") else start + width if kind == "finite" else start
         )
         tols.append(10.0 ** log_tol)
-        certs.append(DecayCertificate(rate, 1.3 * math.exp(rate * abs(shift))))
         rates.append(rate)
         shifts.append(shift)
     rates, shifts = np.array(rates), np.array(shifts)
+    constants = 1.3 * np.exp(rates * np.abs(shifts))
 
     def f(y, owner):
         return np.exp(-rates[owner] * np.abs(y - shifts[owner])) * (1.0 + 0.3 * np.cos(3.0 * y))
 
     batch = adaptive_quad_many(
-        f, lower, upper, tols, rel=rel, decay=certs, breakpoints=breakpoints
+        f, lower, upper, tols, rel=rel, decay=DecayCertificate(rates, constants),
+        breakpoints=breakpoints,
     )
     alone = [
         adaptive_quad(
@@ -426,7 +490,7 @@ def test_many_matches_one_at_a_time(intervals, rel, breakpoints):
             upper[i],
             tols[i],
             rel=rel,
-            decay=certs[i],
+            decay=DecayCertificate(rates[i], constants[i]),
             breakpoints=breakpoints,
         )
         for i in range(len(intervals))
@@ -488,21 +552,28 @@ def test_many_empty_interval_and_bad_input():
     np.testing.assert_allclose(r.value, [0.0, 2.0], atol=1e-14)
     # the empty interval is never evaluated
     assert r.evaluations == 22
-    with pytest.raises(ValueError, match="one decay certificate per integral"):
-        adaptive_quad_many(
-            lambda y, owner: np.exp(-y), [0.0, 0.0], math.inf, 1e-10,
-            decay=[DecayCertificate(1.0, 1.0)],
-        )
+    # a list of certificates, the form the batch once took, is refused
+    # before any evaluation
+    calls = []
+
+    def f(y, owner):
+        calls.append(y)
+        return np.exp(-y)
+
+    for listed in ([DecayCertificate(1.0, 1.0)] * 2, (DecayCertificate(1.0, 1.0), None)):
+        with pytest.raises(ValueError, match="one certificate per batch, not a (list|tuple)"):
+            adaptive_quad_many(f, [0.0, 0.0], math.inf, 1e-10, decay=listed)
+    assert calls == []
     with pytest.raises(ValueError, match="requires a decay certificate"):
-        adaptive_quad_many(
-            lambda y, owner: np.exp(-y), [0.0, 0.0], [1.0, math.inf], 1e-10,
-            decay=[DecayCertificate(1.0, 1.0), None],
-        )
-    with pytest.raises(ValueError, match="one certificate constant per integral, got 3 for 2"):
-        adaptive_quad_many(
-            lambda y, owner: np.exp(-y), [0.0, 0.0], math.inf, 1e-10,
-            decay=DecayCertificate(1.0, [1.0, 1.0, 1.0]),
-        )
+        adaptive_quad_many(f, [0.0, 0.0], [1.0, math.inf], 1e-10)
+    for cert, wrong in (
+        (DecayCertificate(1.0, [1.0, 1.0, 1.0]), "constant per integral, got 3"),
+        (DecayCertificate([1.0], 1.0), "rate per integral, got 1"),
+        (PowerDecayCertificate([2.0, 3.0, 4.0], 1.0), "degree per integral, got 3"),
+        (PowerDecayCertificate(2.0, [1.0]), "constant per integral, got 1"),
+    ):
+        with pytest.raises(ValueError, match="one certificate %s for 2" % wrong):
+            adaptive_quad_many(f, [0.0, 0.0], math.inf, 1e-10, decay=cert)
     with pytest.raises(ValueError, match="must not exceed"):
         adaptive_quad_many(lambda y, owner: y, [0.0, 2.0], [1.0, 1.0], 1e-10)
     # a NaN tolerance once bisected until the panel budget ran out
@@ -516,7 +587,8 @@ def test_many_empty_interval_and_bad_input():
 @pytest.mark.parametrize("q", [2.0, 400.0])
 def test_many_array_certificate_matches_the_list(q):
     # the whole-line route's tails at M=64: one certificate with a constant
-    # per node gives what one scalar certificate per node gives
+    # per node gives what one integral per node with its scalar certificate
+    # gives
     kernel = laplace_kernel()
     grid = build_grid(10.0, 64)
     xi = grid.spacing * np.arange(-32, 33)
@@ -528,15 +600,17 @@ def test_many_array_certificate_matches_the_list(q):
     def f(s, owner):
         return (edge / np.abs(xi[owner] + s)) ** q * kernel.evaluate(s)
 
-    lower = np.full(xi.size, radius)
-    batch = adaptive_quad_many(f, lower, math.inf, tol, rel=1e-12, decay=cert)
-    listed = adaptive_quad_many(
-        f, lower, math.inf, tol, rel=1e-12,
-        decay=[kernel.decay().times_power(-q, offset) for offset in offsets],
-    )
-    np.testing.assert_array_equal(batch.value, listed.value)
-    np.testing.assert_array_equal(batch.abs_error_estimate, listed.abs_error_estimate)
-    assert batch.evaluations == listed.evaluations
+    batch = adaptive_quad_many(f, np.full(xi.size, radius), math.inf, tol, rel=1e-12, decay=cert)
+    alone = [
+        adaptive_quad(
+            lambda s, i=i: f(s, np.full(s.shape, i)), radius, math.inf, tol[i], rel=1e-12,
+            decay=kernel.decay().times_power(-q, offset),
+        )
+        for i, offset in enumerate(offsets)
+    ]
+    np.testing.assert_array_equal(batch.value, [r.value for r in alone])
+    np.testing.assert_array_equal(batch.abs_error_estimate, [r.abs_error_estimate for r in alone])
+    assert batch.evaluations == sum(r.evaluations for r in alone)
 
 
 def test_upper_tail_beyond_its_truncation_point_is_empty():
