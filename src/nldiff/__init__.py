@@ -11,7 +11,6 @@ from .assembly import (
     DecayModel,
     DirichletProblem,
     DiscreteSystem,
-    GrowthCertificate,
     NeumannProblem,
     RealLineProblem,
     assemble,
@@ -49,6 +48,7 @@ from .kernels import (
 from .operator import StructuredOperator
 from .quadrature import (
     DecayCertificate,
+    GrowthCertificate,
     PowerDecayCertificate,
     QuadratureError,
     QuadratureResult,

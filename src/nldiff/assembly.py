@@ -23,11 +23,10 @@ sums are one FFT convolution of the weight table with the exterior data or
 the decay profile, so assembly costs O(n log n) time and O(n) memory.
 
 The beyond-support integrals take a closed form when the problem or the
-kernel carries one.  Otherwise all of them come from one batched adaptive
-quadrature (`adaptive_quad_many`): one tail integral per node for the real
-line, two per node (left and right tail) for Dirichlet data.  A batch has
-one decay certificate with one constant per integral, and each integral a
-tolerance scaled to its own certified tail (`_beyond_support`).
+kernel carries one.  Otherwise they come from one batch of certified tails
+(`quadrature._certified_tails`) under one decay certificate, one integral
+per node: the kernel being even, a Dirichlet node's left and right tails
+are one integral of g(x - y) + g(x + y) over y >= weight_radius.
 `dirichlet_boundary_term` is the one-node case of the Dirichlet routine
 that `assemble_dirichlet` runs on every node.
 """
@@ -43,7 +42,7 @@ import numpy as np
 from .grids import Grid, WeightSet, compute_weights
 from .kernels import Kernel, _route_kernel
 from .operator import StructuredOperator, convolve
-from .quadrature import DecayCertificate, adaptive_quad_many
+from .quadrature import DecayCertificate, GrowthCertificate, _certified_tails
 
 __all__ = [
     "DecayModel",
@@ -75,18 +74,6 @@ class DecayModel:
     def profile(self, x, edge: float) -> np.ndarray:
         ax = np.maximum(np.abs(np.asarray(x, dtype=float)), edge)
         return (edge / ax) ** self.exponent
-
-
-@dataclass(frozen=True)
-class GrowthCertificate:
-    """Bound |g(x)| <= constant * (1 + |x|)**degree on the exterior."""
-
-    degree: float
-    constant: float
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.degree < math.inf and 0 < self.constant < math.inf):
-            raise ValueError("growth certificate needs finite degree >= 0 and constant > 0")
 
 
 @dataclass(frozen=True)
@@ -153,23 +140,10 @@ def _core_column(weights: WeightSet, size: int) -> np.ndarray:
     return column
 
 
-def _beyond_support(
-    integrand: Callable, radius: float, cert: DecayCertificate, count: int
-) -> np.ndarray:
-    """int_radius^inf integrand(y, i) dy for every i < count in one batch,
-    cert bounding integrand i by its constant i (or one constant for all)."""
-    # each integral is itself a kernel tail, so its absolute tolerance is
-    # scaled to its own certified tail size or the answer drowns in slack
-    tol = np.maximum(1e-12 * cert.tail_bound(radius), 1e-300)
-    return adaptive_quad_many(
-        integrand, np.full(count, radius), math.inf, tol, rel=1e-12, decay=cert
-    ).value
-
-
 def _dirichlet_boundary(problem: DirichletProblem, grid: Grid, x: np.ndarray) -> np.ndarray:
     """B(x) = int_{|y| >= weight_radius} g(x - y) nu(y) dy at every node position
-    in x: the problem's closed form, or two certified tail quadratures per
-    node, all of them in one batch."""
+    in x: the problem's closed form, or, nu being even, one certified tail
+    int_radius^inf [g(x - y) + g(x + y)] nu(y) dy per node, all in one batch."""
     radius = grid.weight_radius
     if problem.closed_boundary_term is not None:
         return np.asarray(problem.closed_boundary_term(x, radius), dtype=float)
@@ -178,22 +152,17 @@ def _dirichlet_boundary(problem: DirichletProblem, grid: Grid, x: np.ndarray) ->
             "dirichlet boundary term needs a closed form or a growth certificate "
             "for the exterior data"
         )
-    kernel = problem.kernel
-    growth = problem.exterior_growth
-    # integrals 0..n-1 take g(x - y) (the right tail), n..2n-1 g(x + y)
-    n = x.size
-    center = np.concatenate([x, x])
-    sign = np.repeat([1.0, -1.0], n)
-    base = DecayCertificate(kernel.decay_rate, kernel.decay_constant * growth.constant)
-    # |g(x -+ y) nu(y)| <= C_g (1 + |x| + |y|)^degree * C_nu e^(-rate |y|)
-    cert = base.times_power(growth.degree, 1.0 + np.abs(center))
-    g = problem.exterior_data
-    nu = kernel.evaluate
-    sides = _beyond_support(
-        lambda y, owner: np.asarray(g(center[owner] - sign[owner] * y), dtype=float) * nu(y),
-        radius, cert, 2 * n,
-    )
-    return sides[:n] + sides[n:]
+    kernel, growth, g = problem.kernel, problem.exterior_growth, problem.exterior_data
+    # |g(x - y) + g(x + y)| nu(y) <= 2 C_g (1 + |x| + y)^degree C_nu e^(-rate y)
+    cert = DecayCertificate(kernel.decay_rate, 2.0 * kernel.decay_constant * growth.constant)
+    cert = cert.times_power(growth.degree, 1.0 + np.abs(x))
+
+    def integrand(y, owner):
+        center = x[owner]
+        pair = np.asarray(g(center - y), dtype=float) + np.asarray(g(center + y), dtype=float)
+        return pair * kernel.evaluate(y)
+
+    return _certified_tails(integrand, np.full(x.size, radius), cert, 1e-12)
 
 
 def dirichlet_boundary_term(problem: DirichletProblem, grid: Grid, i: int) -> float:
@@ -226,17 +195,13 @@ def realline_boundary_terms(
     q = decay.exponent
     if kernel.terms is not None:
         b1 = kernel.exterior_moment(xi, radius, q, edge)
-        return b1, b1[::-1].copy()
-
-    # |x_i + s| >= radius + x_i, so node i's ratio is at most edge / (radius +
-    # x_i).  An offset is lowered to the cap, whose bound e^-690 stays in the
-    # floats: the bound stays true, and the node's tolerance takes the floor
-    cap = math.exp(min(690.0 / q, 700.0))
-    cert = kernel.decay().times_power(-q, np.minimum((radius + xi) / edge, cap))
-    b1 = _beyond_support(
-        lambda s, owner: (edge / np.abs(xi[owner] + s)) ** q * kernel.evaluate(s),
-        radius, cert, xi.size,
-    )
+    else:
+        # |x_i + s| >= radius + x_i, so node i's ratio is at most edge / (radius + x_i)
+        cert = kernel.decay().times_power(-q, (radius + xi) / edge)
+        b1 = _certified_tails(
+            lambda s, owner: (edge / np.abs(xi[owner] + s)) ** q * kernel.evaluate(s),
+            np.full(xi.size, radius), cert, 1e-12,
+        )
     return b1, b1[::-1].copy()
 
 

@@ -50,17 +50,16 @@ _EPS = float(np.finfo(float).eps)
 def _continued_fraction(p: float, x: np.ndarray) -> np.ndarray:
     # Modified Lentz applied to the standard continued fraction
     # E_p(x) = e^-x / (x + p - 1*p/(x + p + 2 - 2(p+1)/(x + p + 4 - ...))),
-    # run on every element at once; an element retires as soon as its own
-    # delta converges, so each one sees the arithmetic of a scalar loop
+    # run on every element at once; an element's product freezes as soon as
+    # its own delta converges, so each one sees the arithmetic of a scalar loop
     tiny = 1e-300
-    out = np.empty_like(x)
-    live = np.arange(x.size)
+    live = np.ones(x.shape, dtype=bool)
     b = x + p
     c = np.full_like(x, 1.0 / tiny)
     d = 1.0 / b
-    h = d
+    h = d.copy()
     for i in range(1, 400):
-        if not live.size:
+        if not live.any():
             break
         a = -i * (p - 1.0 + i)
         b = b + 2.0
@@ -70,15 +69,11 @@ def _continued_fraction(p: float, x: np.ndarray) -> np.ndarray:
         c[c == 0.0] = tiny
         d = 1.0 / d
         delta = c * d
-        h = h * delta
-        done = np.abs(delta - 1.0) < 4.0 * _EPS
-        if done.any():
-            out[live[done]] = h[done] * np.exp(-x[live[done]])
-            going = ~done
-            live, b, c, d, h = live[going], b[going], c[going], d[going], h[going]
-    if live.size:
-        raise RuntimeError("continued fraction for E_p(%g, %g) stalled" % (p, x[live[0]]))
-    return out
+        np.multiply(h, delta, out=h, where=live)
+        live &= ~(np.abs(delta - 1.0) < 4.0 * _EPS)
+    if live.any():
+        raise RuntimeError("continued fraction for E_p(%g, %g) stalled" % (p, x[live][0]))
+    return h * np.exp(-x)
 
 
 def _series_regular(p: float, x: float, skip: int) -> float:

@@ -61,6 +61,8 @@ class Grid:
         return self.spacing * np.arange(-self.steps, self.steps + 1)
 
     def node(self, j: int) -> float:
+        if not isinstance(j, (int, np.integer)):
+            raise TypeError("node index must be an integer, got %r" % (j,))
         if abs(j) > self.steps:
             raise ValueError("node index %d outside [-%d, %d]" % (j, self.steps, self.steps))
         return j * self.spacing

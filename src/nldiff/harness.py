@@ -40,7 +40,6 @@ import numpy as np
 from .assembly import (
     DecayModel,
     DirichletProblem,
-    GrowthCertificate,
     NeumannProblem,
     AnyProblem,
     RealLineProblem,
@@ -51,6 +50,7 @@ from .grids import build_grid
 from .kernels import Kernel, laplace_kernel, mixed_exponential_kernel, tail_mass
 from .quadrature import (
     DecayCertificate,
+    GrowthCertificate,
     PowerDecayCertificate,
     QuadratureError,
     adaptive_quad_many,
@@ -467,12 +467,12 @@ def compatibility_check(
 
     A whole-line or flux-closure forcing must have vanishing mean and first
     moment for the continuous problem to be solvable; the result carries
-    both values so callers can report which one failed.  tol must be finite.
+    both values so callers can report which failed.  tol must be finite and >= 0.
     """
     if not isinstance(decay_certificate, (DecayCertificate, PowerDecayCertificate)):
         raise TypeError("unsupported certificate %r" % type(decay_certificate).__name__)
-    if not math.isfinite(tol):
-        raise ValueError("compatibility tolerance must be finite, got %r" % tol)
+    if not 0.0 <= tol < math.inf:
+        raise ValueError("compatibility tol must be finite and >= 0, got %r" % tol)
     quad_tol = min(tol / 10.0, 1e-10)
     # one batch: integral 0 is the mean, integral 1 the first moment
     moments = adaptive_quad_many(
@@ -556,7 +556,7 @@ def _run_cell(
 def run_convergence(
     problem_id: str, half_widths: Sequence[float], step_counts: Sequence[int]
 ) -> ConvergenceReport:
-    """Sweep the problem over half widths and step counts.
+    """Sweep the problem over distinct half widths and step counts.
 
     Rows are ordered by (half width, spacing descending).  The fitted order
     per half width is the least squares slope of log error against log
@@ -578,6 +578,8 @@ def run_convergence(
         for lw in sorted(half_widths)
         for m in sorted(step_counts)
     ]
+    if len(set(cells)) < len(cells):
+        raise ValueError("step counts and half widths must not repeat")
     outcomes = [_run_cell(entry, *cell) for cell in cells]
     rows = [row for row, _ in outcomes]
     scales = {id(row): scale for row, scale in outcomes}

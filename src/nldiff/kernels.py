@@ -26,7 +26,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .expint import exp_int
-from .quadrature import DecayCertificate, adaptive_quad, adaptive_quad_many
+from .quadrature import DecayCertificate, _certified_tails, adaptive_quad, adaptive_quad_many
 
 __all__ = [
     "SignClass",
@@ -297,15 +297,6 @@ def mixed_exponential_kernel() -> Kernel:
     )
 
 
-def _tail_integral(kernel: Kernel, integrand, start: float) -> float:
-    # int_start^inf of nu or |nu|, to 1e-13 of the certified tail beyond start
-    cert = kernel.decay()
-    return adaptive_quad(
-        integrand, start, math.inf, max(1e-13 * cert.tail_bound(start), 1e-300), rel=1e-12,
-        decay=cert, breakpoints=kernel.sign_changes,
-    ).value
-
-
 def moment_f(kernel: Kernel, h: float, index: int) -> float:
     """Truncation moments of the kernel around the origin cell.
 
@@ -327,7 +318,11 @@ def moment_f(kernel: Kernel, h: float, index: int) -> float:
         return h ** 4 * moment_f(kernel, h, 1)
     closed = kernel.terms is not None
     if index == 4 and not closed:
-        return h * h * _tail_integral(kernel, lambda y: np.abs(kernel.evaluate(y)), h)
+        tail = _certified_tails(
+            lambda y, owner: np.abs(kernel.evaluate(y)), [h], kernel.decay(), 1e-13,
+            kernel.sign_changes,
+        )
+        return h * h * float(tail[0])
     if index == 4:
         # nu keeps one sign between h, the zeros beyond it and infinity,
         # and int_p^q nu = G(p) - G(q) for G = -F' on y > 0, G(inf) = 0
@@ -350,7 +345,11 @@ def tail_mass(kernel: Kernel, support_radius: float) -> float:
         raise ValueError("support_radius must be finite and nonnegative, got %r" % support_radius)
     if kernel.terms is not None:
         return _exp_sum(kernel._closed()[2], support_radius, math.exp)
-    return 2.0 * _tail_integral(kernel, kernel.evaluate, support_radius)
+    tail = _certified_tails(
+        lambda y, owner: kernel.evaluate(y), [support_radius], kernel.decay(), 1e-13,
+        kernel.sign_changes,
+    )
+    return 2.0 * float(tail[0])
 
 
 @dataclass(frozen=True)

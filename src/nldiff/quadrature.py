@@ -13,12 +13,15 @@ refinement loop.  The two-rule gap is a conservative error estimate for
 the 15 point value, so the reported estimate is an upper bound in
 practice.
 
-Infinite endpoints are only accepted together with a decay certificate.  The
-certificate turns the improper integral into a finite one plus a rigorously
-bounded remainder; the remainder is charged to the error estimate, never to
-the value.  A batch takes one certificate whose fields are floats or arrays
-with one entry per integral, so every integral's truncation point and
-certified tail, from its own tolerance and entry, come from one numpy pass.
+Infinite endpoints are only accepted together with a decay certificate, which
+turns the improper integral into a finite one plus a rigorously bounded
+remainder, charged to the error estimate and never to the value.  A batch
+takes one certificate whose fields are floats or arrays with one entry per
+integral, so every truncation point and certified tail comes from one numpy
+pass.  Every certified tail of the package, boundary term or kernel tail,
+runs through `_certified_tails` at a share of its own certified tail.
+`times_power` caps a negative degree's offset at e^(690/|degree|), so the
+constant never underflows.  `GrowthCertificate` bounds exterior data.
 
 Integrands must be vectorized: they are called with a 1-d float array (and,
 for `adaptive_quad_many`, the owner index of each point) and must return an
@@ -44,6 +47,7 @@ __all__ = [
     "QuadratureError",
     "DecayCertificate",
     "PowerDecayCertificate",
+    "GrowthCertificate",
     "adaptive_quad",
     "adaptive_quad_many",
     "versine_transform",
@@ -171,9 +175,10 @@ class DecayCertificate:
         and entry i is bit for bit the certificate of degree[i] and offset[i]
         alone.  offset must be finite and >= 0, and > 0 where degree < 0.  A
         zero degree keeps the rate and constant (all zero return self), a
-        negative one keeps the rate and multiplies by offset ** degree, and a
-        positive one halves the rate and absorbs max over t >= 0 of (offset +
-        t) ** degree * exp(-rate t / 2), or raises ValueError beyond the floats.
+        negative one keeps the rate and multiplies by min(offset, e^(690 /
+        |degree|)) ** degree, which stays in the normal floats, and a positive
+        one halves the rate and absorbs max over t >= 0 of (offset + t) **
+        degree * exp(-rate t / 2), or raises ValueError beyond the floats.
         """
         degree, offset = np.asarray(degree, dtype=float), np.asarray(offset, dtype=float)
         valid = np.where(degree < 0, offset > 0.0, offset >= 0.0) & (offset < math.inf)
@@ -189,8 +194,12 @@ class DecayCertificate:
         rate = np.where(up, self.rate / 2.0, self.rate)
         constant = self.constant
         if down.any():
-            shrunk = constant * _power(offset, np.minimum(degree, 0.0)) * _SAFETY
-            constant = np.where(down, shrunk, constant)
+            # an offset beyond the cap only lowers the bound, and the cap
+            # keeps offset ** degree >= e^-690, in the normal floats
+            with np.errstate(divide="ignore"):
+                cap = np.exp(np.minimum(690.0 / -degree, 700.0))
+            power = _power(np.minimum(offset, cap), np.minimum(degree, 0.0))
+            constant = np.where(down, constant * power * _SAFETY, constant)
         if up.any():
             # the peak in logs: the power and the exponential can each leave
             # the floats while their product does not; log 1 stands in for
@@ -233,6 +242,18 @@ class PowerDecayCertificate:
     def times_power(self, degree: float | np.ndarray) -> "PowerDecayCertificate":
         """Certificate for |y| ** degree * f(y); ValueError once a degree left is <= 1."""
         return PowerDecayCertificate(self.degree - np.asarray(degree, dtype=float), self.constant)
+
+
+@dataclass(frozen=True)
+class GrowthCertificate:
+    """Bound |g(x)| <= constant * (1 + |x|)**degree on the exterior."""
+
+    degree: float
+    constant: float
+
+    def __post_init__(self) -> None:
+        if not (0 <= self.degree < math.inf and 0 < self.constant < math.inf):
+            raise ValueError("growth certificate needs finite degree >= 0 and constant > 0")
 
 
 Certificate = Union[DecayCertificate, PowerDecayCertificate]
@@ -519,6 +540,20 @@ def adaptive_quad(
     except QuadratureError as exc:
         raise QuadratureError(str(exc), _first(exc.result)) from None
     return _first(batch)
+
+
+def _certified_tails(
+    f: Callable, start: np.ndarray, decay: Certificate, share: float, breakpoints: Sequence = ()
+) -> np.ndarray:
+    """int_{start_i}^inf f(y, i) dy for every i, one batch under ``decay``.
+
+    Each integral is a tail itself, so its tolerance is ``share`` of its own
+    certified tail, floored at 1e-300, with rel 1e-12: one tolerance for all
+    would drown the small tails in slack."""
+    tol = np.maximum(share * decay.tail_bound(start), 1e-300)
+    return adaptive_quad_many(
+        f, start, math.inf, tol, rel=1e-12, decay=decay, breakpoints=breakpoints
+    ).value
 
 
 def _versine_panels(

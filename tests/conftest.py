@@ -58,9 +58,10 @@ def counted():
 @pytest.fixture
 def quadrature_budget(monkeypatch):
     """(module, rounds=None, panels=None) -> None.  For this test, the
-    adaptive quadratures that ``module`` calls by the names it imported run
-    with at most ``rounds`` refinement rounds and ``panels`` live panels per
-    integral; calls from every other module keep the package's budget."""
+    adaptive quadratures and certified tails that ``module`` calls by the
+    names it imported run with at most ``rounds`` refinement rounds and
+    ``panels`` live panels per integral; calls from every other module keep
+    the package's budget."""
     quadrature = importlib.import_module("nldiff.quadrature")
 
     def limit(module, rounds=None, panels=None):
@@ -84,7 +85,7 @@ def quadrature_budget(monkeypatch):
 
             return call
 
-        for name in ("adaptive_quad", "adaptive_quad_many"):
+        for name in ("adaptive_quad", "adaptive_quad_many", "_certified_tails"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, limited(getattr(module, name)))
 

@@ -31,7 +31,7 @@ from nldiff.grids import build_grid, compute_weights
 from nldiff.harness import mixed_boundary, mixed_forcing, sech_boundary, sech_forcing
 from nldiff.kernels import SignClass, build_kernel, laplace_kernel, mixed_exponential_kernel
 from nldiff.expint import exp_int
-from nldiff.quadrature import DecayCertificate, adaptive_quad
+from nldiff.quadrature import DecayCertificate, adaptive_quad, adaptive_quad_many
 
 
 def sech(x):
@@ -89,12 +89,12 @@ class TestDirichletBoundaryTerm:
         grid = build_grid(10.0, 400)
         count[0] = 0
         assemble_dirichlet(problem, grid)
-        assert count[0] == 83864
+        assert count[0] == 57200
         count[0] = 0
         loop = np.array([dirichlet_boundary_term(problem, grid, i) for i in range(-199, 200)])
-        assert count[0] == 83864
+        assert count[0] == 57200
         batch = _dirichlet_boundary(problem, grid, grid.spacing * np.arange(-199, 200))
-        np.testing.assert_allclose(batch, loop, rtol=1e-14, atol=0.0)
+        np.testing.assert_array_equal(batch, loop)
 
     def test_even_in_node_index(self):
         problem = make_sech_problem(laplace_kernel(), sech_boundary)
@@ -110,6 +110,45 @@ class TestDirichletBoundaryTerm:
         for i in (32, -32, 100):
             with pytest.raises(ValueError):
                 dirichlet_boundary_term(problem, grid, i)
+
+    def test_index_must_be_an_integer(self):
+        # index 1.5 once returned 2.1e-9, the boundary term at no node
+        problem = make_sech_problem(laplace_kernel(), None)
+        grid = build_grid(5.0, 64)
+        with pytest.raises(TypeError, match="node index must be an integer"):
+            dirichlet_boundary_term(problem, grid, 1.5)
+        assert dirichlet_boundary_term(problem, grid, np.int64(16)) == dirichlet_boundary_term(
+            problem, grid, 16
+        )
+
+    @pytest.mark.parametrize("half_width", [5.0, 10.0])
+    @pytest.mark.parametrize("degree", [0.0, 1.0])
+    def test_one_tail_per_node_matches_the_two_tail_sum(self, half_width, degree):
+        # each node's beyond-support term as one integral of g(x - y) +
+        # g(x + y) against its left and right tails integrated apart, each
+        # under its own certificate, as they were before the two folded
+        kernel = laplace_kernel()
+        growth = GrowthCertificate(degree, 1.0)
+        problem = dataclasses.replace(make_sech_problem(kernel, None), exterior_growth=growth)
+        grid = build_grid(half_width, 64)
+        radius = grid.weight_radius
+        x = grid.spacing * np.arange(-31, 32)
+        one = _dirichlet_boundary(problem, grid, x)
+
+        base = DecayCertificate(kernel.decay_rate, kernel.decay_constant * growth.constant)
+        side_cert = base.times_power(degree, 1.0 + np.abs(x))
+        sides = [
+            adaptive_quad_many(
+                lambda y, owner: sech(x[owner] - sign * y) * kernel.evaluate(y),
+                np.full(x.size, radius), math.inf,
+                np.maximum(1e-12 * side_cert.tail_bound(radius), 1e-300), rel=1e-12,
+                decay=side_cert,
+            ).value
+            for sign in (1.0, -1.0)
+        ]
+        pair = DecayCertificate(kernel.decay_rate, 2.0 * kernel.decay_constant * growth.constant)
+        tail = pair.times_power(degree, 1.0 + np.abs(x)).tail_bound(radius)
+        assert np.all(np.abs(one - (sides[0] + sides[1])) <= 1e-12 * tail)
 
     def test_refuses_without_closed_form_or_certificate(self):
         problem = DirichletProblem(

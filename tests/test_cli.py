@@ -122,6 +122,15 @@ class TestConverge:
         assert captured.out == ""
         assert "unrecognized arguments: --workers 2" in captured.err
 
+    def test_repeated_step_counts_are_a_clean_error(self, capsys):
+        code = main(
+            ["converge", "--problem", "dirichlet-sech", "--L", "5", "--M", "64,64,64"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must not repeat" in captured.err
+
     def test_too_few_step_counts_is_a_clean_error(self, capsys):
         code = main(
             ["converge", "--problem", "dirichlet-sech", "--L", "5", "--M", "16,32"]
@@ -174,6 +183,12 @@ class TestCheck:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "must be finite" in captured.err
+
+    def test_negative_tolerance_refused(self, capsys):
+        code = main(["check", "--problem", "realline-algebraic", "--tol", "-1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "tol must be finite and >= 0" in captured.err
 
     def test_quad_tol_reports_the_tolerance_used(self, capsys):
         main(["check", "--problem", "realline-algebraic", "--tol", "1e-12"])
@@ -285,7 +300,7 @@ class TestFailureExitCodes:
         assert captured.out == ""
         err = captured.err.strip()
         assert "\n" not in err
-        assert "did not reach" in err and "of 2 integrals" in err and "best estimate" in err
+        assert "did not reach" in err and "of 1 integrals" in err and "best estimate" in err
 
     def test_symbol_table_exhaustion(self, capsys, monkeypatch):
         # every registry kernel takes the closed symbol table, so the system

@@ -30,6 +30,14 @@ def mixed():
 
 
 class TestGrid:
+    def test_node_refuses_a_non_integer_index(self):
+        g = build_grid(5.0, 64)
+        # node(1.5) once returned 0.234375, at no node
+        for j in (1.5, 2.0, "2", None):
+            with pytest.raises(TypeError, match="node index must be an integer"):
+                g.node(j)
+        assert g.node(np.int64(3)) == g.node(3) == 3 * g.spacing
+
     def test_geometry(self):
         g = build_grid(10.0, 100)
         assert g.spacing == 0.2

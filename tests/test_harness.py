@@ -240,6 +240,12 @@ class TestCompatibility:
             1e-3 * math.sqrt(math.pi) / 2.0, rel=1e-6
         )
 
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300])
+    def test_refuses_a_negative_tolerance(self, tol):
+        # it once reached the engine's "tolerances must be nonnegative"
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            compatibility_check(algebraic_forcing, PowerDecayCertificate(4.0, 3.5), tol)
+
     def test_moment_certificate_needs_integrable_tail(self):
         with pytest.raises(ValueError):
             compatibility_check(algebraic_forcing, PowerDecayCertificate(2.0, 1.0))
@@ -357,6 +363,15 @@ class TestRunConvergence:
     def test_needs_three_step_counts(self):
         with pytest.raises(ValueError):
             run_convergence("dirichlet-sech", [5.0], [16, 32])
+
+    @pytest.mark.parametrize(
+        "half_widths, step_counts",
+        [([5.0], [64, 64, 64]), ([5.0], [64, 64, 128]), ([5.0, 5.0], [16, 32, 64])],
+    )
+    def test_refuses_repeated_grids(self, half_widths, step_counts):
+        # three copies of one cell once fitted an order of 1.46
+        with pytest.raises(ValueError, match="must not repeat"):
+            run_convergence("dirichlet-sech", half_widths, step_counts)
 
     def test_needs_a_half_width(self):
         with pytest.raises(ValueError):

@@ -246,6 +246,19 @@ def test_times_power_degree_zero_is_identity():
     assert cert.times_power(0.0, 4.0) is cert
 
 
+def test_times_power_caps_an_offset_whose_power_would_underflow():
+    # 1e6 ** -1000 is 0, which once left a zero constant and a refused
+    # certificate; the offset is lowered to e^0.69, where the power is e^-690
+    cert = DecayCertificate(1.0, 2.0).times_power(-1000.0, 1e6)
+    assert cert.constant == pytest.approx(2.0 * math.exp(-690.0) * 1.0000001, rel=1e-12, abs=0.0)
+    # an entry below the cap keeps offset ** degree bit for bit
+    offsets = np.array([1.5, 1e6, 1.9])
+    capped = DecayCertificate(1.0, 2.0).times_power(-1000.0, offsets)
+    assert capped.constant[1] == cert.constant
+    for i in (0, 2):
+        assert capped.constant[i] == 2.0 * offsets[i] ** -1000.0 * 1.0000001
+
+
 @pytest.mark.parametrize(
     "degree, offset",
     [(2.0, -5.0), (-2.0, 0.0), (-2.5, -1.5), (1.0, math.nan), (1.0, math.inf), (0.0, -1.0)],
