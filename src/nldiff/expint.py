@@ -109,7 +109,12 @@ def _series(p: float, x: float) -> float:
             expo += dk * (_ZETA[k - 2] + (-1) ** k * hk) / k
         quotient = math.expm1(expo) / d
     sign = -1.0 if (n - 1) % 2 else 1.0
-    bracket = -sign * x ** (n - 1) / math.factorial(n - 1) * quotient
+    # x**(n-1)/(n-1)! one divisor at a time: x <= 1, so it underflows
+    # towards 0 where (n-1)! would leave the floats (n >= 172)
+    coef = x ** (n - 1)
+    for j in range(2, n):
+        coef /= j
+    bracket = -sign * coef * quotient
     return bracket - _series_regular(p, x, skip=n - 1)
 
 

@@ -214,6 +214,8 @@ def _preconditioned_cg(
             solution[rows[~going]] = values[~going]
             rows, goal, squared, rz = rows[going], goal[going], squared[going], rz[going]
             values, residual, direction = values[going], residual[going], direction[going]
+            if not rows.size:
+                break
         preconditioned = precondition(residual)
         rz_next = np.einsum("ij,ij->i", residual, preconditioned)
         direction = preconditioned + (rz_next / rz)[:, None] * direction

@@ -412,6 +412,18 @@ class TestRealLineBoundaryTerms:
         kernel_at_radius = float(kernel.evaluate(np.array([grid.weight_radius]))[0])
         assert closed[0] == pytest.approx(kernel_at_radius / 41.0, rel=0.05)
 
+    @pytest.mark.parametrize("kernel", [laplace_kernel(), mixed_exponential_kernel()])
+    def test_steep_decay_on_a_narrow_window(self, kernel):
+        # at L = 0.5 the exterior moments take E_400 at arguments <= 1, the
+        # series branch, whose x**399 / 399! once overflowed in the factorial
+        grid = build_grid(0.5, 16)
+        decay = DecayModel(400.0)
+        closed, _ = realline_boundary_terms(kernel, grid, decay, method="closed")
+        quad, _ = realline_boundary_terms(kernel, grid, decay, method="quadrature")
+        np.testing.assert_allclose(closed, quad, rtol=1e-12, atol=1e-300)
+        system = assemble(RealLineProblem(kernel, np.cos, decay), grid)
+        assert np.all(np.isfinite(system.rhs))
+
     @pytest.mark.parametrize("exponent", [400.0, 1000.0])
     @pytest.mark.parametrize("kernel", [laplace_kernel(), mixed_exponential_kernel()])
     def test_steep_decay_certified_per_node(self, kernel, exponent):

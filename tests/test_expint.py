@@ -60,6 +60,14 @@ def test_near_integer_from_below():
             assert abs(got - want) <= 1e-12 * abs(want)
 
 
+@pytest.mark.parametrize("p,x", [(400.0, 1.0), (400.0, 1e-3), (172.0, 0.5), (171.995, 1.0)])
+def test_order_past_the_float_factorials(p, x):
+    # within 0.01 of an integer n >= 172 the series once formed (n-1)!,
+    # which leaves the floats; its term now underflows instead
+    want = float(mpmath.expint(mpmath.mpf(p), x))
+    assert abs(exp_int(p, x) - want) <= 1e-15 * abs(want)
+
+
 def test_recurrence():
     # p E_{p+1}(x) + x E_p(x) = e^{-x}
     p, x = 2.0, 0.7

@@ -13,7 +13,14 @@ import numpy as np
 import pytest
 
 from nldiff import harness
-from nldiff.assembly import DirichletProblem, NeumannProblem, RealLineProblem, neumann_to_realline
+from nldiff.assembly import (
+    DirichletProblem,
+    NeumannProblem,
+    RealLineProblem,
+    assemble,
+    neumann_to_realline,
+)
+from nldiff.grids import build_grid
 from nldiff.harness import (
     CSV_HEADER,
     ClosedFormCheck,
@@ -41,6 +48,7 @@ from nldiff.quadrature import (
     adaptive_quad,
     adaptive_quad_many,
 )
+from nldiff.solve import evaluate_solution, solve
 
 ALGEBRAIC_CERT = PowerDecayCertificate(4.0, 3.5)
 
@@ -119,6 +127,21 @@ class TestReferenceData:
         for function, want in pairs:
             assert np.abs(function(x) - want).max() <= 1e-15 * np.abs(want).max()
         assert jump_exact(x)[-2:].tolist() == [5.0 / 6.0, 5.0 / 6.0]
+
+    def test_sech_matches_its_formula(self):
+        # in place on one copy, in the formula's order: bit for bit, x untouched
+        x = np.concatenate((np.linspace(-40.0, 40.0, 4001), [-0.0, 750.0, -800.0]))
+        before = x.copy()
+        t = np.abs(x)
+        e = np.exp(-t)
+        np.testing.assert_array_equal(harness._sech(x), 2.0 * e / (1.0 + e * e))
+        np.testing.assert_array_equal(x, before)
+        # a scalar stays a scalar, as the forcings pass one for a float
+        for value in (1.5, np.float64(-2.0)):
+            got = harness._sech(value)
+            e = np.exp(-np.abs(np.float64(value)))
+            assert np.ndim(got) == 0 and got == 2.0 * e / (1.0 + e * e)
+        assert np.ndim(mixed_forcing(1.0)) == 0 and np.ndim(sech_forcing(1.0)) == 0
 
     def test_forcings_survive_large_arguments(self):
         # overflow is guarded; harmless underflow to zero is expected
@@ -399,6 +422,45 @@ class TestRunConvergence:
             ("dirichlet-sech", 4.0),
             ("dirichlet-sech", 8.0),
         }
+
+
+def _full_probe(entry, solution):
+    # the probe over all of [-2L, 2L], exterior included
+    grid = solution.system.grid
+    w, h = grid.half_width, grid.spacing
+    pts = np.linspace(-2.0 * w, 2.0 * w, int(round(32.0 * w / h)) + 1)
+    keep = np.ones(pts.size, dtype=bool)
+    for s in entry.discontinuities:
+        keep &= np.abs(pts - s) > h * (1.0 - 1e-9)
+    pts = pts[keep]
+    truth = np.asarray(entry.exact_solution(pts), dtype=float)
+    approx = evaluate_solution(solution, pts)
+    return float(np.abs(approx - truth).max()), float(np.abs(truth).max())
+
+
+class TestErrorProbe:
+    @pytest.mark.parametrize("problem_id", sorted(EXPECTED_IDS))
+    def test_matches_the_full_probe(self, problem_id):
+        entry = registry()[problem_id]
+        case = entry.build(5.0)
+        for steps in (64, 128, 256):
+            solution = solve(assemble(case.problem, build_grid(case.solve_half_width, steps)))
+            assert harness._probe_error(entry, solution) == _full_probe(entry, solution)
+
+    def test_exterior_probed_unless_it_is_the_reference(self, monkeypatch):
+        # dirichlet-sech's exterior data is sech itself; the homogeneous
+        # closure's zero exterior must still be measured against sech
+        reach = {}
+
+        def recording(solution, pts):
+            reach[solution.system.problem.exterior_data] = (pts.min(), pts.max())
+            return evaluate_solution(solution, pts)
+
+        monkeypatch.setattr(harness, "evaluate_solution", recording)
+        for problem_id in ("dirichlet-sech", "comparison-sech-dirichlet"):
+            run_convergence(problem_id, [5.0], [16, 32, 64])
+        assert reach[harness._sech] == (-5.0, 5.0)
+        assert reach[harness._zero] == (-10.0, 10.0)
 
 
 class TestEmitCsv:

@@ -259,6 +259,27 @@ class TestStructuredRoute:
         for got, (want, _) in zip(batched, alone):
             assert np.abs(got - want[0]).max() <= 1e-14 * np.abs(want).max()
 
+    def test_cg_preconditions_no_empty_batch(self, line_system, monkeypatch):
+        # once the last row converges the loop ends: one preconditioning
+        # before the first step and one after every step but the last
+        batches = []
+        build = StructuredOperator.sine_preconditioner
+
+        def recording(operator, floor):
+            precondition = build(operator, floor)
+
+            def apply(residual):
+                batches.append(residual.shape[0])
+                return precondition(residual)
+
+            return apply
+
+        monkeypatch.setattr(StructuredOperator, "sine_preconditioner", recording)
+        operator = line_system.operator
+        rows = np.vstack((operator.edge, np.random.default_rng(5).standard_normal(operator.size)))
+        _, iterations = _preconditioned_cg(operator, operator.circulant_eigenvalues(), rows)
+        assert len(batches) == iterations and min(batches) > 0
+
     @pytest.mark.parametrize(
         "problem_id, half_width, steps, most",
         # the 22 cells of the Dirichlet and whole-line convergence sweeps, then
